@@ -14,7 +14,7 @@ from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from repro.core.bitvector import BitVector
+from repro.core.bitvector import BitVector, byte_masks
 
 
 class Bitmap:
@@ -117,9 +117,9 @@ class Bitmap:
     def mark_vec(self, index_matrix: np.ndarray) -> None:
         """Vectorized mark: ``index_matrix`` is the (m, N) output of
         :meth:`repro.core.hashing.HashFamily.indices_vec`."""
-        flat = index_matrix.reshape(-1)
+        byte_idx, masks = byte_masks(index_matrix.reshape(-1))
         for vector in self._vectors:
-            vector.set_many_vec(flat)
+            vector.set_masks(byte_idx, masks)
 
     def test_current_vec(self, index_matrix: np.ndarray) -> np.ndarray:
         """Vectorized lookup: boolean array of length N, True = all m bits set."""

@@ -7,10 +7,12 @@
   ``{saddr, sport, daddr}``; incoming checks ``{daddr, dport, saddr}``),
 - timestamp-driven rotation (``b.rotate`` every ``dt`` seconds),
 - optional adaptive packet dropping (Section 5.3),
-- two batch paths: an *exact* one that preserves per-packet ordering while
-  vectorizing the hashing, and a *windowed* one that additionally vectorizes
-  the bit operations by processing each rotation window mark-first (see
-  ``process_batch_windowed`` for the approximation argument),
+- one vectorized batch kernel with two modes, run once per rotation
+  window: *exact*, which resolves the order of marks and tests inside the
+  window and so gives exactly the verdicts, stats and bits of
+  :meth:`BitmapFilter.process` per packet, and *windowed*, which marks
+  first and tests after (see ``process_batch_windowed`` for the
+  approximation argument),
 - degraded-mode machinery for operational faults: a
   :class:`~repro.core.resilience.FailPolicy` applied while the filter is
   down (:meth:`BitmapFilter.fail` / :meth:`BitmapFilter.recover`), a
@@ -33,14 +35,15 @@ also carries fail policy and warm-up grace), or bare keyword fields::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.apd import AdaptiveDroppingPolicy
 from repro.core.bitmap import Bitmap
+from repro.core.bitvector import byte_masks
 from repro.core.filter_api import Decision, PacketFilterMixin, normalize_layers
 from repro.core.hashing import HashFamily
 from repro.core.resilience import FailPolicy
@@ -56,9 +59,6 @@ from repro.net.packet import (
     PacketArray,
 )
 from repro.telemetry.registry import MetricsRegistry, get_registry
-
-if TYPE_CHECKING:
-    pass
 
 __all__ = [
     "BitmapFilter",
@@ -224,21 +224,7 @@ class FilterStats:
         return self.incoming_dropped / self.incoming
 
     def as_dict(self) -> dict:
-        return {
-            "outgoing": self.outgoing,
-            "incoming": self.incoming,
-            "incoming_dropped": self.incoming_dropped,
-            "incoming_passed": self.incoming_passed,
-            "internal": self.internal,
-            "transit": self.transit,
-            "apd_admitted": self.apd_admitted,
-            "marks_suppressed": self.marks_suppressed,
-            "rotations": self.rotations,
-            "degraded_admitted": self.degraded_admitted,
-            "degraded_dropped": self.degraded_dropped,
-            "warmup_admitted": self.warmup_admitted,
-            "unmarked_outgoing": self.unmarked_outgoing,
-        }
+        return asdict(self)
 
 
 #: Admission-path labels used by the telemetry counters.
@@ -420,18 +406,23 @@ class BitmapFilter(PacketFilterMixin):
         if self._stalled:
             return 0
         ran = 0
-        tel = self._tel
         while self._next_rotation <= ts:
-            if tel is None:
-                self.bitmap.rotate()
-            else:
-                begin = perf_counter()
-                self.bitmap.rotate()
-                tel.on_rotation(self._next_rotation, perf_counter() - begin)
-            self._next_rotation += self.config.rotation_interval
+            self._rotate()
             ran += 1
-        self.stats.rotations += ran
         return ran
+
+    def _rotate(self) -> None:
+        """Run the rotation due at ``next_rotation`` (Algorithm 1) and
+        schedule the next one."""
+        tel = self._tel
+        if tel is None:
+            self.bitmap.rotate()
+        else:
+            begin = perf_counter()
+            self.bitmap.rotate()
+            tel.on_rotation(self._next_rotation, perf_counter() - begin)
+        self._next_rotation += self.config.rotation_interval
+        self.stats.rotations += 1
 
     # -- degraded-mode operation ---------------------------------------------
 
@@ -515,15 +506,8 @@ class BitmapFilter(PacketFilterMixin):
         if catch_up:
             return self.advance_to(now)
         if self._next_rotation <= now:
-            tel = self._tel
-            if tel is None:
-                self.bitmap.rotate()
-            else:
-                begin = perf_counter()
-                self.bitmap.rotate()
-                tel.on_rotation(now, perf_counter() - begin)
-            self.stats.rotations += 1
-            self._next_rotation = now + self.config.rotation_interval
+            self._next_rotation = now  # the late rotation restarts the schedule
+            self._rotate()
             return 1
         return 0
 
@@ -627,27 +611,43 @@ class BitmapFilter(PacketFilterMixin):
 
     # -- batch paths -----------------------------------------------------------
 
-    def process_batch(self, packets: PacketArray, exact: bool = True) -> np.ndarray:
+    def process_batch(self, packets: PacketArray, exact: bool = True, *,
+                      directions: Optional[np.ndarray] = None) -> np.ndarray:
         """Filter a time-sorted batch; returns a boolean PASS mask.
 
-        ``exact=True`` preserves per-packet ordering semantics (identical to
-        calling :meth:`process` per packet) while vectorizing direction
-        classification and hashing.  ``exact=False`` delegates to
-        :meth:`process_batch_windowed`.
+        ``exact=True`` gives the verdicts, stats, bit state and telemetry of
+        calling :meth:`process` per packet, at NumPy speed (see
+        :meth:`_filter_window`).  ``exact=False`` runs the windowed
+        approximation of :meth:`process_batch_windowed`.  ``directions``
+        may pass ``packets.directions(self.protected)`` when the caller has
+        already computed it.
 
         APD is not supported on the batch paths (use :meth:`process`).
         """
         if self.apd is not None:
             raise NotImplementedError("batch paths do not support adaptive dropping")
+        if directions is None:
+            directions = packets.directions(self.protected)
         if self._down:
-            return self._process_batch_down(packets)
-        if exact:
-            return self._process_batch_exact(packets)
-        return self.process_batch_windowed(packets)
+            return self._process_batch_down(directions)
+        return self._process_batch_vec(packets, directions, exact)
 
-    def _process_batch_down(self, packets: PacketArray) -> np.ndarray:
+    def process_batch_windowed(self, packets: PacketArray) -> np.ndarray:
+        """Fully vectorized batch filtering, exact up to one approximation.
+
+        Packets are grouped into rotation windows.  Within a window all
+        outgoing packets are marked *first*, then all incoming packets are
+        checked.  Genuine traffic always sends the request before the reply,
+        so every packet the exact path passes is also passed here; the only
+        divergence is an unsolicited incoming packet whose matching bits are
+        marked *later in the same window*, which this path admits up to
+        ``dt`` seconds early.  Tests bound the divergence.
+        """
+        return self._process_batch_vec(
+            packets, packets.directions(self.protected), exact=False)
+
+    def _process_batch_down(self, directions: np.ndarray) -> np.ndarray:
         """Vectorized down-state verdicts: ``fail_policy`` decides everything."""
-        directions = packets.directions(self.protected)
         incoming = directions == DIRECTION_INCOMING
         outgoing = directions == DIRECTION_OUTGOING
         stats = self.stats
@@ -658,7 +658,7 @@ class BitmapFilter(PacketFilterMixin):
         stats.incoming += n_in
         stats.internal += int((directions == DIRECTION_INTERNAL).sum())
         stats.transit += int((directions == DIRECTION_TRANSIT).sum())
-        verdict = np.ones(len(packets), dtype=bool)
+        verdict = np.ones(len(directions), dtype=bool)
         tel = self._tel
         if self.fail_policy is FailPolicy.FAIL_OPEN:
             stats.degraded_admitted += n_in
@@ -681,138 +681,150 @@ class BitmapFilter(PacketFilterMixin):
         but never used.
         """
         outgoing = directions == DIRECTION_OUTGOING
-        local_addr = np.where(outgoing, packets.src, packets.dst).astype(np.uint32)
-        local_port = np.where(outgoing, packets.sport, packets.dport).astype(np.uint16)
-        remote_addr = np.where(outgoing, packets.dst, packets.src).astype(np.uint32)
+        # Contiguous copies: the fields are strided views of the packet
+        # records, and np.where on those runs several times slower.
+        src = np.ascontiguousarray(packets.src)
+        dst = np.ascontiguousarray(packets.dst)
+        local_addr = np.where(outgoing, src, dst)
+        local_port = np.where(outgoing, np.ascontiguousarray(packets.sport),
+                              np.ascontiguousarray(packets.dport))
+        remote_addr = np.where(outgoing, dst, src)
         return self.hashes.indices_vec(packets.proto, local_addr, local_port, remote_addr)
 
-    def _process_batch_exact(self, packets: PacketArray) -> np.ndarray:
-        n = len(packets)
-        verdict = np.ones(n, dtype=bool)
-        if not n:
-            return verdict
-        directions = packets.directions(self.protected)
-        index_matrix = self._directional_indices(packets, directions)
-        # Convert the hot columns to plain Python lists once; per-element
-        # list indexing is several times faster than NumPy scalar access.
-        ts_list = packets.ts.tolist()
-        dir_list = directions.tolist()
-        idx_lists = [row.tolist() for row in index_matrix.T]  # per-packet index tuples
+    def _process_batch_vec(self, packets: PacketArray, directions: np.ndarray,
+                           exact: bool) -> np.ndarray:
+        """The batch kernel: direction split and hashing once per batch,
+        then one :meth:`_filter_window` call per rotation window.
 
-        bitmap = self.bitmap
-        stats = self.stats
-        interval = self.config.rotation_interval
-        # Stall/warm-up state cannot change mid-batch (only the fault harness
-        # toggles it, between batches), so hoist both out of the hot loop.
-        stalled = self._stalled
-        warmup_until = self._warmup_until
-        tel = self._tel
-        before = tel.stats_snapshot(stats) if tel is not None else None
-        for i in range(n):
-            ts = ts_list[i]
-            while not stalled and self._next_rotation <= ts:
-                if tel is None:
-                    bitmap.rotate()
-                else:
-                    # Flush this window's counter deltas before the tick so
-                    # samplers see per-Δt admits/drops, not batch totals.
-                    tel.count_batch("exact_batch", stats, before)
-                    before = tel.stats_snapshot(stats)
-                    begin = perf_counter()
-                    bitmap.rotate()
-                    tel.on_rotation(self._next_rotation, perf_counter() - begin)
-                self._next_rotation += interval
-                stats.rotations += 1
-            direction = dir_list[i]
-            if direction == DIRECTION_OUTGOING:
-                stats.outgoing += 1
-                bitmap.mark(idx_lists[i])
-            elif direction == DIRECTION_INCOMING:
-                stats.incoming += 1
-                if bitmap.test_current(idx_lists[i]):
-                    stats.incoming_passed += 1
-                elif ts < warmup_until:
-                    stats.warmup_admitted += 1
-                    stats.incoming_passed += 1
-                else:
-                    stats.incoming_dropped += 1
-                    verdict[i] = False
-            elif direction == DIRECTION_INTERNAL:
-                stats.internal += 1
-            else:
-                stats.transit += 1
-        if tel is not None:
-            tel.count_batch("exact_batch", stats, before)
-        return verdict
-
-    def process_batch_windowed(self, packets: PacketArray) -> np.ndarray:
-        """Fully vectorized batch filtering, exact up to one approximation.
-
-        Packets are grouped into rotation windows.  Within a window all
-        outgoing packets are marked *first*, then all incoming packets are
-        checked.  Genuine traffic always sends the request before the reply,
-        so every packet the exact path passes is also passed here; the only
-        divergence is an unsolicited incoming packet whose matching bits are
-        marked *later in the same window*, which this path admits up to
-        ``dt`` seconds early.  Tests bound the divergence.
+        A packet's rotation window is set by the running maximum of the
+        timestamps up to it, which is the clock :meth:`process` advances
+        by, so even a batch that is not time-sorted sees the rotations the
+        per-packet path would.  Rotations run between windows, each after a
+        per-window flush of the telemetry counters.
         """
         n = len(packets)
         verdict = np.ones(n, dtype=bool)
         if not n:
             return verdict
-        directions = packets.directions(self.protected)
-        index_matrix = self._directional_indices(packets, directions)
-        ts = packets.ts
-
         stats = self.stats
-        outgoing_mask = directions == DIRECTION_OUTGOING
-        incoming_mask = directions == DIRECTION_INCOMING
-        stats.internal += int((directions == 3).sum())
-        stats.transit += int((directions == 2).sum())
+        stats.internal += int(np.count_nonzero(directions == DIRECTION_INTERNAL))
+        stats.transit += int(np.count_nonzero(directions == DIRECTION_TRANSIT))
+        out_pos = np.flatnonzero(directions == DIRECTION_OUTGOING)
+        in_pos = np.flatnonzero(directions == DIRECTION_INCOMING)
+        # (m, packets) index columns per direction, split once per batch;
+        # every window takes slices of them.
+        index_matrix = self._directional_indices(packets, directions)
+        out_rows = index_matrix[:, out_pos]
+        in_rows = index_matrix[:, in_pos]
+        del index_matrix
+        in_bytes, in_masks = byte_masks(in_rows)
+        ts = np.ascontiguousarray(packets.ts)
+        # Stall/warm-up state cannot change mid-batch (only the fault
+        # harness toggles it, between batches).
+        in_grace = None
+        if len(in_pos) and self._warmup_until > ts.min():
+            in_grace = ts[in_pos] < self._warmup_until
+
+        edges = np.concatenate(
+            ([0], self._rotation_cuts(np.maximum.accumulate(ts)), [n]))
+        out_edges = np.searchsorted(out_pos, edges).tolist()
+        in_edges = np.searchsorted(in_pos, edges).tolist()
+        path = "exact_batch" if exact else "windowed_batch"
         tel = self._tel
         before = tel.stats_snapshot(stats) if tel is not None else None
-
-        start = 0
-        while start < n:
-            # A stalled rotation timer means the remainder is one window.
-            boundary = float("inf") if self._stalled else self._next_rotation
-            end = int(np.searchsorted(ts[start:], boundary, side="left")) + start
-            if end > start:
-                window = slice(start, end)
-                out_in_window = outgoing_mask[window]
-                in_in_window = incoming_mask[window]
-                if out_in_window.any():
-                    self.bitmap.mark_vec(index_matrix[:, window][:, out_in_window])
-                    stats.outgoing += int(out_in_window.sum())
-                if in_in_window.any():
-                    ok = self.bitmap.test_current_vec(index_matrix[:, window][:, in_in_window])
-                    if self._warmup_until > ts[start]:
-                        grace = ~ok & (ts[window][in_in_window] < self._warmup_until)
-                        if grace.any():
-                            ok = ok | grace
-                            stats.warmup_admitted += int(grace.sum())
-                    incoming_positions = np.nonzero(in_in_window)[0] + start
-                    verdict[incoming_positions[~ok]] = False
-                    stats.incoming += int(in_in_window.sum())
-                    stats.incoming_passed += int(ok.sum())
-                    stats.incoming_dropped += int((~ok).sum())
-                start = end
-            if start < n:
-                # Next packet is at/after the boundary: rotate and continue.
-                if tel is None:
-                    self.bitmap.rotate()
-                else:
-                    # Per-window flush before the tick (see exact path).
-                    tel.count_batch("windowed_batch", stats, before)
+        for window in range(len(edges) - 1):
+            if window:
+                if tel is not None:
+                    # Flush this window's counter deltas before the tick so
+                    # samplers see per-Δt admits/drops, not batch totals.
+                    tel.count_batch(path, stats, before)
                     before = tel.stats_snapshot(stats)
-                    begin = perf_counter()
-                    self.bitmap.rotate()
-                    tel.on_rotation(self._next_rotation, perf_counter() - begin)
-                self._next_rotation += self.config.rotation_interval
-                stats.rotations += 1
+                self._rotate()
+            o0, o1 = out_edges[window], out_edges[window + 1]
+            i0, i1 = in_edges[window], in_edges[window + 1]
+            if o0 < o1 or i0 < i1:
+                tests = (in_rows[:, i0:i1], in_bytes[:, i0:i1],
+                         in_masks[:, i0:i1], in_pos[i0:i1],
+                         None if in_grace is None else in_grace[i0:i1])
+                self._filter_window(out_rows[:, o0:o1], out_pos[o0:o1],
+                                    tests, verdict, exact)
         if tel is not None:
-            tel.count_batch("windowed_batch", stats, before)
+            tel.count_batch(path, stats, before)
         return verdict
+
+    def _rotation_cuts(self, clock: np.ndarray) -> np.ndarray:
+        """Batch positions at which each pending rotation boundary is crossed.
+
+        ``clock`` is the batch's non-decreasing rotation clock.  The
+        boundaries come from the same repeated ``+= rotation_interval``
+        additions :meth:`_rotate` makes, so they round identically; none are
+        crossed while rotations are stalled.
+        """
+        boundaries = []
+        if not self._stalled:
+            boundary = self._next_rotation
+            last = float(clock[-1])
+            interval = self.config.rotation_interval
+            while boundary <= last:
+                boundaries.append(boundary)
+                boundary += interval
+        return np.searchsorted(clock, np.array(boundaries, dtype=np.float64),
+                               side="left")
+
+    def _filter_window(self, out_rows: np.ndarray, out_pos: np.ndarray,
+                       tests: tuple, verdict: np.ndarray, exact: bool) -> None:
+        """One rotation window: mark ``out_rows``, then test the incoming.
+
+        ``out_rows`` holds the (m, P) bit indices of the window's outgoing
+        packets, at batch positions ``out_pos``.  ``tests`` holds the same
+        for the incoming packets, split by :func:`byte_masks`, with their
+        positions and warm-up grace flags (None when no grace applies).
+        All marks are applied at once and the incoming packets tested after
+        them, which is the windowed verdict.  The exact verdict also tests
+        before the marks.  Only packets that miss before and hit after are
+        order-ambiguous: bits they need were set by marks somewhere in the
+        window.  Such a packet passes iff each of its bits was either set
+        before the window or first marked at an earlier batch position,
+        which is what :meth:`process` would have seen.
+        """
+        in_rows, in_bytes, in_masks, in_pos, in_grace = tests
+        stats = self.stats
+        bitmap = self.bitmap
+        current = bitmap.current
+        pre = None
+        if exact and len(in_pos) and len(out_pos):
+            pre = current.test_masks(in_bytes, in_masks)
+        if len(out_pos):
+            bitmap.mark_vec(out_rows)
+            stats.outgoing += len(out_pos)
+        if not len(in_pos):
+            return
+        ok = current.test_masks(in_bytes, in_masks).all(axis=0)
+        if pre is not None:
+            ambiguous = ok & ~pre.all(axis=0)
+            if ambiguous.any():
+                # First batch position that marked each bit this window: in
+                # packet-major order positions ascend, so np.unique's first
+                # index is the earliest.
+                marked_bits, first = np.unique(out_rows.T.reshape(-1),
+                                               return_index=True)
+                first_pos = out_pos[first // len(out_rows)]
+                # Every bit of an ambiguous packet that was not set before
+                # the window is among marked_bits (the marks completed it).
+                loc = np.searchsorted(marked_bits, in_rows[:, ambiguous])
+                loc = np.minimum(loc, len(marked_bits) - 1)
+                marked_at = np.where(pre[:, ambiguous], -1, first_pos[loc])
+                ok[ambiguous] = marked_at.max(axis=0) < in_pos[ambiguous]
+        if in_grace is not None:
+            grace = ~ok & in_grace
+            if grace.any():
+                ok |= grace
+                stats.warmup_admitted += int(np.count_nonzero(grace))
+        passed = int(np.count_nonzero(ok))
+        verdict[in_pos[~ok]] = False
+        stats.incoming += len(in_pos)
+        stats.incoming_passed += passed
+        stats.incoming_dropped += len(in_pos) - passed
 
     # -- snapshot state -------------------------------------------------------
 

@@ -8,7 +8,7 @@ vectorized filter path.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -18,6 +18,13 @@ _POPCOUNT8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
 _POPCOUNT8 = _POPCOUNT8.astype(np.uint32)
 
 _BIT_MASKS = tuple(1 << i for i in range(8))
+
+
+def byte_masks(indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Split bit indices into byte offsets and one-bit byte masks, the form
+    :meth:`BitVector.set_masks` and :meth:`BitVector.test_masks` take."""
+    return ((indices >> 3).astype(np.intp),
+            np.left_shift(np.uint8(1), (indices & 7).astype(np.uint8)))
 
 
 class BitVector:
@@ -112,17 +119,20 @@ class BitVector:
 
         Uses ``np.bitwise_or.at`` so duplicate indices are handled correctly.
         """
-        view = self.as_numpy()
-        byte_idx = (indices >> 3).astype(np.int64)
-        masks = np.left_shift(np.uint8(1), (indices & 7).astype(np.uint8))
-        np.bitwise_or.at(view, byte_idx, masks)
+        self.set_masks(*byte_masks(indices))
 
     def test_many_vec(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized membership: boolean array, one entry per index."""
-        view = self.as_numpy()
-        byte_idx = (indices >> 3).astype(np.int64)
-        shifts = (indices & 7).astype(np.uint8)
-        return ((view[byte_idx] >> shifts) & 1).astype(bool)
+        return self.test_masks(*byte_masks(indices))
+
+    def set_masks(self, byte_idx: np.ndarray, masks: np.ndarray) -> None:
+        """:meth:`set_many_vec` on indices split by :func:`byte_masks`."""
+        np.bitwise_or.at(self.as_numpy(), byte_idx, masks)
+
+    def test_masks(self, byte_idx: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """:meth:`test_many_vec` on indices split by :func:`byte_masks`
+        (any shape; the result has the same one)."""
+        return (self.as_numpy()[byte_idx] & masks) != 0
 
     # -- misc -----------------------------------------------------------------
 

@@ -53,6 +53,11 @@ _EMPTY = -np.inf
 
 _GROW_CAUSES = ("utilization", "pressure", "fpr")
 
+#: Bounds on the inserts :meth:`CuckooFlowTable.insert_batch` resolves at
+#: once.
+_MIN_RUN = 256
+_MAX_RUN = 8192
+
 
 def pack_flow(proto: int, local_addr: int, local_port: int, remote_addr: int) -> Tuple[int, int]:
     """Pack a directional flow key into the (lo, hi) word pair the table stores.
@@ -79,6 +84,19 @@ def pack_flows_vec(
     )
     hi = remote_addr.astype(np.uint64)
     return lo, hi
+
+
+def _first_writer(writers: np.ndarray, written: np.ndarray,
+                  queried: np.ndarray) -> np.ndarray:
+    """For each queried value, the first of the ascending positions
+    ``writers`` that wrote it (``written`` holds what each wrote), or a
+    position past every writer when none did."""
+    if not len(writers):
+        return np.full(len(queried), np.iinfo(np.int64).max)
+    values, first = np.unique(written, return_index=True)
+    loc = np.minimum(np.searchsorted(values, queried), len(values) - 1)
+    return np.where(values[loc] == queried, writers[first[loc]],
+                    np.iinfo(np.int64).max)
 
 
 class CuckooFlowTable:
@@ -346,15 +364,21 @@ class CuckooFlowTable:
 
     # -- vectorized path --------------------------------------------------------
 
-    def _buckets_vec(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def bucket_pairs(self, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Both candidate buckets of every key at the table's current order
+        (what the batch methods take as ``buckets``)."""
         h = splitmix64_vec(lo ^ splitmix64_vec(hi ^ np.uint64(self._seed)))
         mask = np.uint64(self._mask)
         b1 = h & mask
         tag = ((h >> np.uint64(32)) & mask) | np.uint64(1)
         return b1.astype(np.int64), (b1 ^ tag).astype(np.int64)
 
-    def contains_batch(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains`: boolean live-membership mask."""
+    def contains_batch(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray,
+                       buckets: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                       ) -> np.ndarray:
+        """Vectorized :meth:`contains`: boolean live-membership mask.
+
+        ``buckets`` may pass :meth:`bucket_pairs` of the same keys."""
         lo = np.ascontiguousarray(lo, dtype=np.uint64)
         hi = np.ascontiguousarray(hi, dtype=np.uint64)
         n = len(lo)
@@ -363,85 +387,164 @@ class CuckooFlowTable:
             return np.zeros(0, dtype=bool)
         cutoff = (np.asarray(ts, dtype=np.float64) - self._lifetime)[:, None]
         found = np.zeros(n, dtype=bool)
-        for buckets in self._buckets_vec(lo, hi):
+        for bucket in buckets if buckets is not None else self.bucket_pairs(lo, hi):
             hit = (
-                (self._key_lo[buckets] == lo[:, None])
-                & (self._key_hi[buckets] == hi[:, None])
-                & (self._stamp[buckets] > cutoff)
+                (self._key_lo[bucket] == lo[:, None])
+                & (self._key_hi[bucket] == hi[:, None])
+                & (self._stamp[bucket] > cutoff)
             )
             found |= hit.any(axis=1)
         self.hits += int(found.sum())
         return found
 
     def insert_batch(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray,
-                     gc_now: Optional[float] = None) -> None:
+                     gc_now: Optional[float] = None,
+                     buckets: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+                     ) -> None:
         """Insert keys in array order, bit-identical to sequential
         :meth:`insert` calls (pinned by the batch/scalar digest-parity
-        test).  In serving steady state almost every outgoing packet
-        refreshes a flow the table already holds, so runs of refreshes are
-        applied as one vectorized stamp write; a genuinely new key falls
-        back to the scalar insert (which may kick or grow), after which the
-        remaining run is re-resolved against the updated layout.  Batches
-        dominated by new keys (flow churn, worm outbreaks) skip straight to
-        the scalar loop rather than re-resolving after every miss.
+        tests).  Runs of inserts are applied as one vectorized write (see
+        :meth:`_insert_run`); an insert that may kick or grow, or that
+        depends on a slot an earlier insert of the run wrote, falls back to
+        the scalar :meth:`insert`, after which the rest is re-resolved
+        against the updated layout.
 
         ``gc_now`` is forwarded to every :meth:`insert` — windowed replays
         pass the window start so collection stays conservative across the
-        whole batch (see :meth:`insert`)."""
+        whole batch (see :meth:`insert`).  ``buckets`` may pass
+        :meth:`bucket_pairs` of the same keys at the current order."""
         lo = np.ascontiguousarray(lo, dtype=np.uint64)
         hi = np.ascontiguousarray(hi, dtype=np.uint64)
         ts = np.ascontiguousarray(ts, dtype=np.float64)
         n = len(lo)
+        order = self._order
+        b1, b2 = buckets if buckets is not None else self.bucket_pairs(lo, hi)
         start = 0
+        span = _MAX_RUN
         while start < n:
-            # Fixed-size chunks bound the re-resolution cost after a miss
-            # to O(chunk) instead of O(remaining batch).
-            end = min(start + 1024, n)
-            while start < end:
-                # At the growth threshold the scalar path purges/grows on
-                # its next call (even a refresh); delegate one element so
-                # the vectorized refreshes below stay growth-neutral.
-                if self._occupied >= self._grow_at * self.capacity:
-                    self.insert(int(lo[start]), int(hi[start]),
-                                float(ts[start]), gc_now)
-                    start += 1
+            if self._order != order:  # a grow re-hashed every key
+                order = self._order
+                b1, b2 = self.bucket_pairs(lo, hi)
+            # At the growth threshold the scalar path purges/grows on its
+            # next call (even a refresh), so that call stays scalar.
+            if self._occupied < self._grow_at * self.capacity:
+                end = min(start + span, n)
+                run = self._insert_run(lo[start:end], hi[start:end],
+                                       ts[start:end], b1[start:end],
+                                       b2[start:end], gc_now)
+                start += run
+                # Resolve about twice the last run next time, so the work
+                # redone after a fallback stays O(run).
+                span = min(_MAX_RUN, max(_MIN_RUN, 2 * run))
+                if start == end:
                     continue
-                rlo, rhi, rts = lo[start:end], hi[start:end], ts[start:end]
-                # A present key (live *or* expired — same criterion as the
-                # scalar refresh) occupies exactly one slot, so the two
-                # bucket probes resolve it unambiguously.
-                sel_b = np.full(len(rlo), -1, dtype=np.int64)
-                sel_s = np.zeros(len(rlo), dtype=np.int64)
-                for b in self._buckets_vec(rlo, rhi):
-                    hit = (
-                        (self._key_lo[b] == rlo[:, None])
-                        & (self._key_hi[b] == rhi[:, None])
-                        & (self._stamp[b] != _EMPTY)
-                    )
-                    rows = hit.any(axis=1)
-                    sel_b[rows] = b[rows]
-                    sel_s[rows] = hit.argmax(axis=1)[rows]
-                present = sel_b >= 0
-                if np.count_nonzero(present) * 2 < len(rlo):
-                    for i in range(start, end):
-                        self.insert(int(lo[i]), int(hi[i]), float(ts[i]),
-                                    gc_now)
-                    start = end
-                    break
-                misses = np.nonzero(~present)[0]
-                run = int(misses[0]) if len(misses) else len(rlo)
-                if run:
-                    # Fancy assignment takes the last write per slot,
-                    # matching sequential refreshes of a repeated key (ts
-                    # is in batch order).
-                    self._stamp[sel_b[:run], sel_s[:run]] = rts[:run]
-                    self.inserts += run
-                    self.refreshes += run
-                    start += run
-                if run < len(rlo):
-                    self.insert(int(lo[start]), int(hi[start]),
-                                float(ts[start]), gc_now)
-                    start += 1
+            self.insert(int(lo[start]), int(hi[start]), float(ts[start]),
+                        gc_now)
+            start += 1
+
+    def _insert_run(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray,
+                    b1: np.ndarray, b2: np.ndarray,
+                    gc_now: Optional[float]) -> int:
+        """Apply, in one vectorized write, the longest prefix of these
+        inserts that sequential :meth:`insert` calls would apply the same
+        way on today's layout; return its length.
+
+        Each insert writes one slot: its own (a refresh), else the first
+        free slot of its first bucket, then of its second (a placement).
+        The prefix stops before an insert that would kick, that would
+        reach the growth threshold, or whose choice an earlier insert of
+        the prefix could change: an earlier placement took its slot, or
+        (for a placement) an earlier write could turn a slot in one of its
+        buckets between free and live for it.  Other writes cannot: a
+        slot free before its pick stays free and comes later in its scan.
+        """
+        n = len(lo)
+        slots = self._slots
+        positions = np.arange(n)
+        # Slot id (bucket * slots + slot) each insert writes, in the
+        # scalar order of preference: own slot in b1, in b2, free in b1, b2.
+        target = np.full(n, -1, dtype=np.int64)
+        for bucket in (b1, b2):
+            own = (
+                (self._key_lo[bucket] == lo[:, None])
+                & (self._key_hi[bucket] == hi[:, None])
+                & (self._stamp[bucket] != _EMPTY)
+            )
+            slot = own.argmax(axis=1)
+            take = own[positions, slot] & (target < 0)
+            target[take] = bucket[take] * slots + slot[take]
+        run, placed, fills = n, None, 0
+        absent = np.flatnonzero(target < 0)
+        if len(absent):
+            run, placed, fills = self._place_run(lo, hi, ts, b1, b2, gc_now,
+                                                 target, absent)
+        if run:
+            rows, cols = np.divmod(target[:run], slots)
+            new = 0
+            if placed is not None:
+                placed = placed[:run]
+                new = int(np.count_nonzero(placed))
+                self._key_lo[rows[placed], cols[placed]] = lo[:run][placed]
+                self._key_hi[rows[placed], cols[placed]] = hi[:run][placed]
+                self._occupied += int(np.count_nonzero(fills[:run]))
+            # Fancy assignment takes the last write per slot, matching
+            # sequential refreshes of a repeated key (ts is in batch order).
+            self._stamp[rows, cols] = ts[:run]
+            self.inserts += run
+            self.refreshes += run - new
+        return run
+
+    def _place_run(self, lo, hi, ts, b1, b2, gc_now, target,
+                   absent) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Resolve the keys at ``absent`` (not in the table) for
+        :meth:`_insert_run`: fill in their ``target`` slots and return the
+        prefix length it may apply, which inserts place a new key, and
+        which of those fill a never-used slot."""
+        n = len(lo)
+        slots = self._slots
+        positions = np.arange(n)
+        a_ts = ts[absent]
+        now = a_ts if gc_now is None else np.minimum(gc_now, a_ts)
+        cutoff = now - self._lifetime
+        for bucket in (b1[absent], b2[absent]):
+            # A never-used slot's stamp (-inf) is below every cutoff.
+            free = self._stamp[bucket] <= cutoff[:, None]
+            slot = free.argmax(axis=1)
+            take = free[np.arange(len(absent)), slot] & (target[absent] < 0)
+            target[absent[take]] = bucket[take] * slots + slot[take]
+        # A key repeated within the run refreshes the slot its first
+        # occurrence took.  lexsort is stable: a group starts at its
+        # earliest position.
+        order = absent[np.lexsort((hi[absent], lo[absent]))]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = (lo[order][1:] != lo[order][:-1]) | (hi[order][1:] != hi[order][:-1])
+        first = positions.copy()
+        first[order] = order[np.maximum.accumulate(
+            np.where(head, np.arange(len(order)), 0))]
+        repeat = first != positions
+        target[repeat] = target[first[repeat]]
+        placed = np.zeros(n, dtype=bool)
+        placed[absent] = True
+        placed &= ~repeat & (target >= 0)
+        rows, cols = np.divmod(np.maximum(target, 0), slots)
+        old = np.where(repeat, ts[first], self._stamp[rows, cols])
+        fills = placed & (old == _EMPTY)
+        # A write can turn a slot between free and live for a later
+        # placement only if its new stamp, or a refreshed slot's old one,
+        # is at or below that placement's cutoff.
+        latest_cutoff = cutoff.max()
+        flips = np.flatnonzero((target >= 0) & (
+            (ts <= latest_cutoff) | (~placed & (old <= latest_cutoff))))
+        placing = np.flatnonzero(placed)
+        blocked = (
+            (target < 0)
+            | (self._occupied + np.cumsum(fills) >= self._grow_at * self.capacity)
+            | (~repeat & (_first_writer(placing, target[placing], target) < positions))
+        )
+        for bucket in (b1, b2):
+            blocked[placing] |= _first_writer(flips, rows[flips], bucket[placing]) < placing
+        run = int(np.argmax(blocked)) if blocked.any() else n
+        return run, placed, fills
 
     # -- maintenance ------------------------------------------------------------
 

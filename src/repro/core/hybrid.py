@@ -272,16 +272,19 @@ class HybridVerifiedFilter(PacketFilterMixin):
 
     # -- batch path ------------------------------------------------------------
 
-    def process_batch(self, packets: PacketArray, exact: bool = True) -> np.ndarray:
+    def process_batch(self, packets: PacketArray, exact: bool = True, *,
+                      directions: Optional[np.ndarray] = None) -> np.ndarray:
         inner = self._inner
+        if directions is None:
+            directions = packets.directions(inner.protected)
         if inner.is_down:
-            return inner.process_batch(packets, exact=exact)
+            return inner.process_batch(packets, exact=exact,
+                                       directions=directions)
         warmup_until = inner.warmup_until
-        mask = inner.process_batch(packets, exact=exact)
+        mask = inner.process_batch(packets, exact=exact, directions=directions)
         n = len(packets)
         if n == 0:
             return mask
-        directions = packets.directions(inner.protected)
         outgoing = directions == DIRECTION_OUTGOING
         incoming = directions == DIRECTION_INCOMING
         local = np.where(outgoing, packets.src, packets.dst)
@@ -355,11 +358,14 @@ class HybridVerifiedFilter(PacketFilterMixin):
         table = self.table
         ins = np.nonzero(insert_mask)[0]
         chk = np.nonzero(check_mask)[0]
+        b1, b2 = table.bucket_pairs(lo, hi)
         if len(chk) == 0:
             if len(ins):
-                table.insert_batch(lo[ins], hi[ins], ts[ins])
+                table.insert_batch(lo[ins], hi[ins], ts[ins],
+                                   buckets=(b1[ins], b2[ins]))
             return
-        pre_live = table.contains_batch(lo[chk], hi[chk], ts[chk])
+        pre_live = table.contains_batch(lo[chk], hi[chk], ts[chk],
+                                        buckets=(b1[chk], b2[chk]))
         pre_hits = int(pre_live.sum())
         # Latest preceding insert per check, per key: sort by (key, position)
         # and take a grouped running max of insert positions.
@@ -384,7 +390,8 @@ class HybridVerifiedFilter(PacketFilterMixin):
         ok = np.where(has_pred, live_pred,
                       pre_live[np.searchsorted(chk, pos_check)])
         if len(ins):
-            table.insert_batch(lo[ins], hi[ins], ts[ins])
+            table.insert_batch(lo[ins], hi[ins], ts[ins],
+                               buckets=(b1[ins], b2[ins]))
         denied_pos = pos_check[~ok]
         if len(denied_pos):
             mask[denied_pos] = False

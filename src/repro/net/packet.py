@@ -319,18 +319,19 @@ class PacketArray:
 
         Returns an int8 array: 0=outgoing, 1=incoming, 2=transit, 3=internal.
         """
+        # Contiguous copies: the fields are strided views of the packet
+        # records, and every per-network mask below would pay for that.
+        src = np.ascontiguousarray(self.src)
+        dst = np.ascontiguousarray(self.dst)
         src_in = np.zeros(len(self), dtype=bool)
         dst_in = np.zeros(len(self), dtype=bool)
         for net in protected.networks:
             mask = np.uint32(net.netmask)
             prefix = np.uint32(net.prefix)
-            src_in |= (self.src & mask) == prefix
-            dst_in |= (self.dst & mask) == prefix
-        out = np.full(len(self), DIRECTION_TRANSIT, dtype=np.int8)
-        out[src_in & ~dst_in] = DIRECTION_OUTGOING
-        out[~src_in & dst_in] = DIRECTION_INCOMING
-        out[src_in & dst_in] = DIRECTION_INTERNAL
-        return out
+            src_in |= (src & mask) == prefix
+            dst_in |= (dst & mask) == prefix
+        # 2 * src_in + dst_in indexes the direction code.
+        return _DIRECTION_BY_SIDES[(src_in.view(np.int8) << 1) | dst_in.view(np.int8)]
 
     def copy(self) -> "PacketArray":
         return PacketArray(self._data.copy())
@@ -348,6 +349,11 @@ DIRECTION_OUTGOING = 0
 DIRECTION_INCOMING = 1
 DIRECTION_TRANSIT = 2
 DIRECTION_INTERNAL = 3
+
+#: Direction code by ``2 * src_inside + dst_inside``.
+_DIRECTION_BY_SIDES = np.array(
+    [DIRECTION_TRANSIT, DIRECTION_INCOMING, DIRECTION_OUTGOING,
+     DIRECTION_INTERNAL], dtype=np.int8)
 
 DIRECTION_CODES = {
     Direction.OUTGOING: DIRECTION_OUTGOING,

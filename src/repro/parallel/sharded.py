@@ -333,8 +333,8 @@ class ShardedBitmapFilter(PacketFilterMixin):
 
     # -- batch path -----------------------------------------------------------
 
-    def process_batch(self, packets: PacketArray,
-                      exact: bool = True) -> np.ndarray:
+    def process_batch(self, packets: PacketArray, exact: bool = True, *,
+                      directions: Optional[np.ndarray] = None) -> np.ndarray:
         """Filter a time-sorted batch across the workers; PASS mask out.
 
         Outgoing packets are broadcast (replica marking); everything else
@@ -348,7 +348,8 @@ class ShardedBitmapFilter(PacketFilterMixin):
         verdict = np.ones(n, dtype=bool)
         if not n:
             return verdict
-        directions = packets.directions(self.protected)
+        if directions is None:
+            directions = packets.directions(self.protected)
         outgoing = directions == DIRECTION_OUTGOING
         incoming = directions == DIRECTION_INCOMING
         local_addr = np.where(incoming, packets.dst, packets.src)

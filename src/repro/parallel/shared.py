@@ -18,16 +18,10 @@ overhead and what capped measured serve throughput at ~440k pps.
   and zeroes only the retiring slab (no copied state); the index/epoch
   advance and the clear are one seqlocked unit, so a reader can never
   judge a packet against a retired epoch (the property suite proves it).
-- **Vectorized exact batch path.**  The serial filter's ``exact=True``
-  batch path walks packets one-by-one in Python to preserve ordering
-  semantics; this class replaces it with a fully vectorized algorithm that
-  is *order-exact*: per rotation window it tests all incoming packets
-  against the pre-window bits, applies all marks at once, re-tests, and
-  resolves the order-ambiguous tests (miss-before-marks, hit-after-marks)
-  by comparing each packet's position against the first position that
-  marked each of its bits.  Identical verdicts and stats to the serial
-  per-packet loop, at NumPy speed — this is what moves the serve daemon
-  past the 1M pps north star on the same hardware.
+- **The serial batch kernel, unchanged.**  Batches run
+  :class:`~repro.core.bitmap_filter.BitmapFilter`'s vectorized
+  order-exact kernel against the shared buffer; nothing about that
+  kernel needs shared memory, so serial runs it at the same speed.
 - **Shard-aware APD.**  Adaptive packet dropping needs global arrival
   order, which is why the sharded backend never supported it.  Here the
   policy lives in the parent — the one process that sees every arrival in
@@ -54,7 +48,6 @@ from __future__ import annotations
 
 import multiprocessing
 import weakref
-from time import perf_counter
 from typing import Optional
 
 import numpy as np
@@ -63,14 +56,7 @@ from repro.core.apd import AdaptiveDroppingPolicy
 from repro.core.bitmap_filter import AnyFilterConfig, BitmapFilter
 from repro.core.resilience import FailPolicy
 from repro.net.address import AddressSpace
-from repro.net.packet import (
-    DIRECTION_INCOMING,
-    DIRECTION_INTERNAL,
-    DIRECTION_OUTGOING,
-    DIRECTION_TRANSIT,
-    Packet,
-    PacketArray,
-)
+from repro.net.packet import Packet, PacketArray
 from repro.parallel.shared_worker import SharedWorkerSpec, shared_worker_main
 from repro.parallel.shm import SharedBitmap
 from repro.parallel.worker import ShardWorkerError
@@ -121,7 +107,6 @@ class SharedBitmapFilter(BitmapFilter):
 
     - ``N`` reader worker processes that answer partitioned scalar lookups
       off the shared bits under a seqlock,
-    - the vectorized order-exact batch path (see the module docstring),
     - the shared arrival counter that makes APD shard-aware.
 
     Unlike the sharded backend, adaptive packet dropping **is** supported:
@@ -240,147 +225,12 @@ class SharedBitmapFilter(BitmapFilter):
 
     # -- batch path -----------------------------------------------------------
 
-    def process_batch(self, packets: PacketArray,
-                      exact: bool = True) -> np.ndarray:
-        verdict = super().process_batch(packets, exact=exact)
+    def process_batch(self, packets: PacketArray, exact: bool = True, *,
+                      directions: Optional[np.ndarray] = None) -> np.ndarray:
+        verdict = super().process_batch(packets, exact=exact,
+                                        directions=directions)
         self._publish_arrivals()
         return verdict
-
-    def _process_batch_exact(self, packets: PacketArray) -> np.ndarray:
-        """Vectorized *order-exact* batch filtering on the shared buffer.
-
-        Semantics are identical to the serial per-packet loop; the trick is
-        resolving intra-window ordering without walking packets one at a
-        time.  Per rotation window:
-
-        1. test every incoming packet against the pre-window bits
-           (``hits0``/``ok0``);
-        2. apply every outgoing mark in one vectorized pass;
-        3. re-test (``ok1``).  Only packets with ``~ok0 & ok1`` are
-           order-ambiguous — their bits were completed by marks *somewhere*
-           in this window, and the verdict depends on whether those marks
-           came before or after the packet;
-        4. for each ambiguous packet, compare its batch position against
-           the **first** position that marked each of its missing bits: it
-           passes iff every such first-mark precedes it — exactly what the
-           serial loop would have observed.
-
-        Warm-up grace, stats, rotation cadence and telemetry flushes all
-        match the serial exact path per window.
-        """
-        n = len(packets)
-        verdict = np.ones(n, dtype=bool)
-        if not n:
-            return verdict
-        directions = packets.directions(self.protected)
-        index_matrix = self._directional_indices(packets, directions)
-        ts = packets.ts
-
-        stats = self.stats
-        out_mask = directions == DIRECTION_OUTGOING
-        in_mask = directions == DIRECTION_INCOMING
-        stats.internal += int((directions == DIRECTION_INTERNAL).sum())
-        stats.transit += int((directions == DIRECTION_TRANSIT).sum())
-        # Stall/warm-up state cannot change mid-batch (only the fault
-        # harness toggles it, between batches) — hoisted like serial.
-        stalled = self._stalled
-        warmup_until = self._warmup_until
-        interval = self.config.rotation_interval
-        bitmap = self.bitmap
-        tel = self._tel
-        before = tel.stats_snapshot(stats) if tel is not None else None
-
-        start = 0
-        while start < n:
-            boundary = float("inf") if stalled else self._next_rotation
-            end = int(np.searchsorted(ts[start:], boundary, side="left")) + start
-            if end > start:
-                self._filter_window(index_matrix, ts, out_mask, in_mask,
-                                    verdict, start, end, warmup_until)
-                start = end
-            if start < n:
-                if tel is None:
-                    bitmap.rotate()
-                else:
-                    # Per-window flush before the tick (see serial path).
-                    tel.count_batch("exact_batch", stats, before)
-                    before = tel.stats_snapshot(stats)
-                    begin = perf_counter()
-                    bitmap.rotate()
-                    tel.on_rotation(self._next_rotation,
-                                    perf_counter() - begin)
-                self._next_rotation += interval
-                stats.rotations += 1
-        if tel is not None:
-            tel.count_batch("exact_batch", stats, before)
-        return verdict
-
-    def _filter_window(self, index_matrix: np.ndarray, ts: np.ndarray,
-                       out_mask: np.ndarray, in_mask: np.ndarray,
-                       verdict: np.ndarray, start: int, end: int,
-                       warmup_until: float) -> None:
-        """One rotation window of the order-exact vectorized algorithm."""
-        window = slice(start, end)
-        w_out = out_mask[window]
-        w_in = in_mask[window]
-        stats = self.stats
-        bitmap = self.bitmap
-        current = bitmap.current
-        n_out = int(w_out.sum())
-        have_in = bool(w_in.any())
-
-        if have_in:
-            test_mat = index_matrix[:, window][:, w_in]          # (m, I)
-            hits0 = current.test_many_vec(
-                test_mat.reshape(-1)).reshape(test_mat.shape)
-            ok = hits0.all(axis=0)                               # (I,)
-        if n_out:
-            mark_mat = index_matrix[:, window][:, w_out]          # (m, P)
-            bitmap.mark_vec(mark_mat)
-            stats.outgoing += n_out
-        if not have_in:
-            return
-
-        in_pos = np.nonzero(w_in)[0]
-        stats.incoming += in_pos.size
-        if n_out:
-            ok1 = current.test_many_vec(
-                test_mat.reshape(-1)).reshape(test_mat.shape).all(axis=0)
-            ambiguous = ~ok & ok1
-            if ambiguous.any():
-                out_pos = np.nonzero(w_out)[0]
-                m = index_matrix.shape[0]
-                # First position that marked each bit this window.
-                flat_bits = mark_mat.reshape(-1)
-                flat_pos = np.tile(out_pos, m)
-                order = np.lexsort((flat_pos, flat_bits))
-                sorted_bits = flat_bits[order]
-                sorted_pos = flat_pos[order]
-                first = np.ones(len(sorted_bits), dtype=bool)
-                first[1:] = sorted_bits[1:] != sorted_bits[:-1]
-                unique_bits = sorted_bits[first]
-                first_pos = sorted_pos[first]
-                # Each ambiguous packet passes iff every bit it needs was
-                # either set pre-window or first-marked before its position.
-                amb_bits = test_mat[:, ambiguous]                 # (m, A)
-                amb_pre = hits0[:, ambiguous]
-                loc = np.searchsorted(unique_bits, amb_bits)
-                loc = np.minimum(loc, len(unique_bits) - 1)
-                marked_at = first_pos[loc]
-                # Pre-set bits need no mark; every other bit of an
-                # ambiguous packet is guaranteed present in unique_bits
-                # (ok1 says the window's marks completed it).
-                marked_at = np.where(amb_pre, -1, marked_at)
-                ok[ambiguous] = marked_at.max(axis=0) < in_pos[ambiguous]
-
-        if warmup_until > ts[start]:
-            grace = ~ok & (ts[window][w_in] < warmup_until)
-            if grace.any():
-                ok |= grace
-                stats.warmup_admitted += int(grace.sum())
-        verdict[in_pos[~ok] + start] = False
-        stats.incoming_passed += int(ok.sum())
-        stats.incoming_dropped += int((~ok).sum())
 
     # -- structural writes (seqlocked) ----------------------------------------
 

@@ -39,10 +39,10 @@ def run_filter_on_trace(
     """Run ``filt`` over ``trace`` (time-sorted) and score the verdicts.
 
     ``exact`` selects the batch mode where the filter offers a choice: the
-    bitmap filter's ``True`` preserves per-packet ordering while ``False``
-    uses the fully vectorized windowed path (see
-    ``BitmapFilter.process_batch_windowed`` for the approximation bound).
-    Filters without an approximate path ignore the flag.
+    bitmap filter's vectorized kernel gives the per-packet verdicts of
+    ``process`` with ``True`` and the windowed approximation with
+    ``False`` (see ``BitmapFilter.process_batch_windowed`` for its
+    bound).  Filters without an approximate path ignore the flag.
 
     ``backend="sharded"`` runs a pristine bitmap filter across ``workers``
     processes via :func:`repro.parallel.shard_filter`; ``backend="shared"``

@@ -54,9 +54,10 @@ _EMPTY = -np.inf
 _GROW_CAUSES = ("utilization", "pressure", "fpr")
 
 #: Bounds on the inserts :meth:`CuckooFlowTable.insert_batch` resolves at
-#: once.
-_MIN_RUN = 256
-_MAX_RUN = 8192
+#: once (about an eighth of the bucket count: more keys per bucket make
+#: more of the window depend on each kick).
+_MIN_WINDOW = 128
+_MAX_WINDOW = 8192
 
 
 def pack_flow(proto: int, local_addr: int, local_port: int, remote_addr: int) -> Tuple[int, int]:
@@ -99,6 +100,38 @@ def _first_writer(writers: np.ndarray, written: np.ndarray,
                     np.iinfo(np.int64).max)
 
 
+def _propose(cand: np.ndarray, free: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Sequential greedy placement of distinct new keys, in order: each
+    takes the first of its candidate slots (``cand``, scan order) that is
+    ``free`` and that no earlier key took.  Returns the slot id each takes
+    (-1: none left) and how many leading keys that covers.
+
+    Each key proposes its next free slot; the earliest proposer of a slot
+    keeps it and the others move on, until nobody moves.  A key only ever
+    gives way to an earlier one, so the fixed point is the greedy."""
+    count, width = cand.shape
+    if not count:
+        return np.zeros(0, dtype=np.int64), 0
+    # Each key's free slots in scan order, then -1 padding.
+    queue = np.full((count, width + 1), -1, dtype=np.int64)
+    rows, cols = np.nonzero(free)
+    queue[rows, np.cumsum(free, axis=1)[rows, cols] - 1] = cand[rows, cols]
+    keys = np.arange(count)
+    ptr = np.zeros(count, dtype=np.int64)
+    for _ in range(2 * width + 4):
+        pick = queue[keys, ptr]
+        live = np.flatnonzero(pick >= 0)
+        # np.unique's first index per slot is its earliest proposer.
+        lost = np.ones(len(live), dtype=bool)
+        lost[np.unique(pick[live], return_index=True)[1]] = False
+        if not lost.any():
+            return pick, count
+        ptr[live[lost]] += 1
+    # Not settled: keys before the first one still moving gave way only to
+    # each other, so their picks are final.
+    return pick, int(live[lost][0])
+
+
 class CuckooFlowTable:
     """Exact set of live directional flow keys with lazy time-based expiry.
 
@@ -125,7 +158,7 @@ class CuckooFlowTable:
         "_order", "_slots", "_lifetime", "_seed", "_max_order", "_grow_at",
         "_max_kick_nodes", "_mask", "_key_lo", "_key_hi", "_stamp",
         "_occupied", "inserts", "refreshes", "kicks", "grows", "overwrites",
-        "lookups", "hits", "grow_causes",
+        "lookups", "hits", "grow_causes", "_epoch", "_path",
     )
 
     def __init__(
@@ -164,6 +197,8 @@ class CuckooFlowTable:
         self.lookups = 0
         self.hits = 0
         self.grow_causes = {cause: 0 for cause in _GROW_CAUSES}
+        self._epoch = 0     # bumped by every purge or grow
+        self._path = ()     # buckets the last BFS relocation wrote
 
     def _alloc(self) -> None:
         buckets = 1 << self._order
@@ -344,6 +379,7 @@ class CuckooFlowTable:
                     was_empty = st == _EMPTY
                     free_slot = s
                     cur = i
+                    path = [bucket]
                     while paths[cur][1] != -1:
                         _, parent, parent_slot = paths[cur]
                         pb = paths[parent][0]
@@ -352,6 +388,8 @@ class CuckooFlowTable:
                         self._stamp[bucket, free_slot] = stamp[pb, parent_slot]
                         self.kicks += 1
                         bucket, free_slot, cur = pb, parent_slot, parent
+                        path.append(bucket)
+                    self._path = tuple(path)
                     self._place(bucket, free_slot, ulo, uhi, ts, was_empty=was_empty)
                     return True
             for s in range(self._slots):
@@ -400,151 +438,209 @@ class CuckooFlowTable:
     def insert_batch(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray,
                      gc_now: Optional[float] = None,
                      buckets: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-                     ) -> None:
+                     until_order: Optional[int] = None) -> int:
         """Insert keys in array order, bit-identical to sequential
         :meth:`insert` calls (pinned by the batch/scalar digest-parity
-        tests).  Runs of inserts are applied as one vectorized write (see
-        :meth:`_insert_run`); an insert that may kick or grow, or that
-        depends on a slot an earlier insert of the run wrote, falls back to
-        the scalar :meth:`insert`, after which the rest is re-resolved
-        against the updated layout.
+        tests); return how many were inserted.  Windows of inserts are
+        resolved against the table once (:meth:`_resolve`) and then walked
+        in order (:meth:`_walk`): the resolved inserts land as vectorized
+        writes, and an insert the resolution cannot place exactly goes
+        through the scalar :meth:`insert`.
 
         ``gc_now`` is forwarded to every :meth:`insert` — windowed replays
         pass the window start so collection stays conservative across the
         whole batch (see :meth:`insert`).  ``buckets`` may pass
-        :meth:`bucket_pairs` of the same keys at the current order."""
-        lo = np.ascontiguousarray(lo, dtype=np.uint64)
-        hi = np.ascontiguousarray(hi, dtype=np.uint64)
-        ts = np.ascontiguousarray(ts, dtype=np.float64)
+        :meth:`bucket_pairs` of the same keys at the current order.  With
+        ``until_order`` the batch stops right after the insert that grows
+        the table to that order (none if it is there already)."""
+        return self._insert_many(np.ascontiguousarray(lo, dtype=np.uint64),
+                                 np.ascontiguousarray(hi, dtype=np.uint64),
+                                 np.ascontiguousarray(ts, dtype=np.float64),
+                                 gc_now, buckets, rehash=False,
+                                 until_order=until_order)
+
+    def _insert_many(self, lo, hi, ts, gc_now, buckets, rehash,
+                     until_order=None) -> int:
+        """The batch engine behind :meth:`insert_batch` and :meth:`_grow`.
+
+        With ``rehash`` the keys are moved into a grown table, as the
+        scalar ``_insert`` loop would: ``gc_now`` is the one fixed
+        collection clock, ``inserts`` is not counted and the growth
+        threshold is not checked."""
+        if until_order is not None and self._order >= until_order:
+            return 0
         n = len(lo)
         order = self._order
         b1, b2 = buckets if buckets is not None else self.bucket_pairs(lo, hi)
-        start = 0
-        span = _MAX_RUN
+        done = start = 0
         while start < n:
             if self._order != order:  # a grow re-hashed every key
+                if until_order is not None and self._order >= until_order:
+                    break
+                lo, hi, ts = lo[start:], hi[start:], ts[start:]
+                done += start
+                n -= start
+                start = 0
                 order = self._order
                 b1, b2 = self.bucket_pairs(lo, hi)
-            # At the growth threshold the scalar path purges/grows on its
-            # next call (even a refresh), so that call stays scalar.
-            if self._occupied < self._grow_at * self.capacity:
-                end = min(start + span, n)
-                run = self._insert_run(lo[start:end], hi[start:end],
-                                       ts[start:end], b1[start:end],
-                                       b2[start:end], gc_now)
-                start += run
-                # Resolve about twice the last run next time, so the work
-                # redone after a fallback stays O(run).
-                span = min(_MAX_RUN, max(_MIN_RUN, 2 * run))
-                if start == end:
-                    continue
-            self.insert(int(lo[start]), int(hi[start]), float(ts[start]),
-                        gc_now)
-            start += 1
+            window = min(_MAX_WINDOW, max(_MIN_WINDOW, self.num_buckets >> 3))
+            end = min(start + window, n)
+            start += self._walk(lo[start:end], hi[start:end], ts[start:end],
+                                b1[start:end], b2[start:end], gc_now, rehash)
+        return done + start
 
-    def _insert_run(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray,
-                    b1: np.ndarray, b2: np.ndarray,
-                    gc_now: Optional[float]) -> int:
-        """Apply, in one vectorized write, the longest prefix of these
-        inserts that sequential :meth:`insert` calls would apply the same
-        way on today's layout; return its length.
+    def _walk(self, lo, hi, ts, b1, b2, gc_now, rehash) -> int:
+        """Resolve a window of inserts, then apply them in order; return
+        how many were applied (at least one).
 
-        Each insert writes one slot: its own (a refresh), else the first
-        free slot of its first bucket, then of its second (a placement).
-        The prefix stops before an insert that would kick, that would
-        reach the growth threshold, or whose choice an earlier insert of
-        the prefix could change: an earlier placement took its slot, or
-        (for a placement) an earlier write could turn a slot in one of its
-        buckets between free and live for it.  Other writes cannot: a
-        slot free before its pick stays free and comes later in its scan.
-        """
+        Resolved inserts land as vectorized writes.  An insert the
+        resolution blocked, or one that would reach the growth threshold,
+        goes through the scalar path; every bucket that write touched (its
+        two buckets and any BFS relocation path) is marked, and later
+        inserts touching a marked bucket go scalar too.  The walk ends
+        early after a purge or grow (the layout changed under the whole
+        window) or once most of what is left is marked."""
+        target, placed, fills, blocked, n = self._resolve(
+            lo, hi, ts, b1, b2, gc_now, rehash)
+        slots = self._slots
+        limit = self._grow_at * self.capacity
+        epoch = self._epoch
+        filled = np.cumsum(fills[:n])
+        pairs = np.stack((b1[:n], b2[:n]), axis=1)
+        stop = blocked[:n].copy()
+        invalid = np.zeros(n, dtype=bool)
+        ahead = 0           # invalid inserts not yet reached
+        pos = 0
+        while True:
+            nxt = pos + int(stop[pos:n].argmax()) if pos < n else n
+            if nxt < n and not stop[nxt]:
+                nxt = n
+            before = int(filled[pos - 1]) if pos else 0
+            if not rehash:
+                # The scalar path purges or grows right after the insert
+                # that reaches the threshold, so that insert stays scalar.
+                reach = int(np.searchsorted(
+                    filled, limit - self._occupied + before))
+                nxt = min(nxt, max(reach, pos))
+            if nxt > pos:
+                run = slice(pos, nxt)
+                rows, cols = np.divmod(target[run], slots)
+                new = placed[run]
+                placing = int(np.count_nonzero(new))
+                if placing:
+                    self._key_lo[rows[new], cols[new]] = lo[run][new]
+                    self._key_hi[rows[new], cols[new]] = hi[run][new]
+                    self._occupied += int(filled[nxt - 1]) - before
+                # Fancy assignment takes the last write per slot, matching
+                # sequential refreshes of a repeated key.
+                self._stamp[rows, cols] = ts[run]
+                if not rehash:
+                    self.inserts += nxt - pos
+                self.refreshes += nxt - pos - placing
+            if nxt == n:
+                return n
+            self._path = ()
+            if rehash:
+                self._insert(int(lo[nxt]), int(hi[nxt]), float(ts[nxt]), gc_now)
+            else:
+                self.insert(int(lo[nxt]), int(hi[nxt]), float(ts[nxt]), gc_now)
+            ahead -= int(invalid[nxt])
+            pos = nxt + 1
+            if self._epoch != epoch:
+                return pos
+            wrote = np.array((b1[nxt], b2[nxt]) + self._path, dtype=np.int64)
+            hit = (pairs[pos:n, :, None] == wrote).any(axis=(1, 2))
+            hit &= ~invalid[pos:n]
+            marked = int(np.count_nonzero(hit))
+            if marked:
+                invalid[pos:n] |= hit
+                stop[pos:n] |= hit
+                ahead += marked
+                if 2 * ahead > n - pos:
+                    return pos
+
+    def _resolve(self, lo, hi, ts, b1, b2, gc_now, rehash):
+        """Where each insert of a window lands when the window is applied
+        in order to today's layout.
+
+        Returns ``(target, placed, fills, blocked, n)``: the slot id
+        (``bucket * slots + slot``) each insert writes, which inserts place
+        a new key, which of those fill a never-used slot, which inserts the
+        resolution cannot place exactly, and how many leading inserts the
+        resolution covers.
+
+        An insert refreshes its own slot (b1 first, then b2); a key new to
+        the table takes the first free slot of b1, then of b2, that no
+        earlier insert of the window took, and its repeats refresh that
+        slot.  New keys sharing a bucket therefore take successive free
+        slots: each proposes its next free slot, the earliest proposer of
+        a slot keeps it and the others move on, until nobody moves — the
+        sequential greedy, since a proposer only ever gives way to an
+        earlier one.  Blocked are: a new key with no free slot left (it
+        kicks or grows), a refresh whose own slot an earlier placement
+        took, and a placement into a bucket where an earlier write could
+        turn a slot between free and live for it."""
         n = len(lo)
         slots = self._slots
         positions = np.arange(n)
-        # Slot id (bucket * slots + slot) each insert writes, in the
-        # scalar order of preference: own slot in b1, in b2, free in b1, b2.
+        span = np.arange(slots)
+        # Each insert's candidate slot ids in scan order: b1's, then b2's.
+        cand = np.concatenate((b1[:, None] * slots + span,
+                               b2[:, None] * slots + span), axis=1)
+        stamp = self._stamp.reshape(-1)
+        cand_stamp = stamp[cand]
         target = np.full(n, -1, dtype=np.int64)
-        for bucket in (b1, b2):
-            own = (
-                (self._key_lo[bucket] == lo[:, None])
-                & (self._key_hi[bucket] == hi[:, None])
-                & (self._stamp[bucket] != _EMPTY)
-            )
-            slot = own.argmax(axis=1)
-            take = own[positions, slot] & (target < 0)
-            target[take] = bucket[take] * slots + slot[take]
-        run, placed, fills = n, None, 0
-        absent = np.flatnonzero(target < 0)
-        if len(absent):
-            run, placed, fills = self._place_run(lo, hi, ts, b1, b2, gc_now,
-                                                 target, absent)
-        if run:
-            rows, cols = np.divmod(target[:run], slots)
-            new = 0
-            if placed is not None:
-                placed = placed[:run]
-                new = int(np.count_nonzero(placed))
-                self._key_lo[rows[placed], cols[placed]] = lo[:run][placed]
-                self._key_hi[rows[placed], cols[placed]] = hi[:run][placed]
-                self._occupied += int(np.count_nonzero(fills[:run]))
-            # Fancy assignment takes the last write per slot, matching
-            # sequential refreshes of a repeated key (ts is in batch order).
-            self._stamp[rows, cols] = ts[:run]
-            self.inserts += run
-            self.refreshes += run - new
-        return run
-
-    def _place_run(self, lo, hi, ts, b1, b2, gc_now, target,
-                   absent) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Resolve the keys at ``absent`` (not in the table) for
-        :meth:`_insert_run`: fill in their ``target`` slots and return the
-        prefix length it may apply, which inserts place a new key, and
-        which of those fill a never-used slot."""
-        n = len(lo)
-        slots = self._slots
-        positions = np.arange(n)
-        a_ts = ts[absent]
-        now = a_ts if gc_now is None else np.minimum(gc_now, a_ts)
-        cutoff = now - self._lifetime
-        for bucket in (b1[absent], b2[absent]):
-            # A never-used slot's stamp (-inf) is below every cutoff.
-            free = self._stamp[bucket] <= cutoff[:, None]
-            slot = free.argmax(axis=1)
-            take = free[np.arange(len(absent)), slot] & (target[absent] < 0)
-            target[absent[take]] = bucket[take] * slots + slot[take]
-        # A key repeated within the run refreshes the slot its first
-        # occurrence took.  lexsort is stable: a group starts at its
-        # earliest position.
-        order = absent[np.lexsort((hi[absent], lo[absent]))]
-        head = np.ones(len(order), dtype=bool)
-        head[1:] = (lo[order][1:] != lo[order][:-1]) | (hi[order][1:] != hi[order][:-1])
-        first = positions.copy()
-        first[order] = order[np.maximum.accumulate(
-            np.where(head, np.arange(len(order)), 0))]
+        first = positions
+        if not rehash:  # a rehash moves distinct keys into a fresh table
+            own = ((cand_stamp != _EMPTY)
+                   & (self._key_lo.reshape(-1)[cand] == lo[:, None])
+                   & (self._key_hi.reshape(-1)[cand] == hi[:, None]))
+            col = own.argmax(axis=1)
+            present = own[positions, col]
+            target[present] = cand[positions, col][present]
+            absent = np.flatnonzero(~present)
+            # lexsort is stable: a key's group starts at its first position.
+            order = absent[np.lexsort((hi[absent], lo[absent]))]
+            head = np.ones(len(order), dtype=bool)
+            head[1:] = ((lo[order][1:] != lo[order][:-1])
+                        | (hi[order][1:] != hi[order][:-1]))
+            first = positions.copy()
+            first[order] = order[np.maximum.accumulate(
+                np.where(head, np.arange(len(order)), 0))]
+            new = absent[first[absent] == absent]
+        else:
+            new = positions
         repeat = first != positions
+        if rehash:
+            cutoff = np.full(len(new), gc_now - self._lifetime)
+        else:
+            cutoff = (ts[new] if gc_now is None
+                      else np.minimum(gc_now, ts[new])) - self._lifetime
+        pick, settled = _propose(cand[new], cand_stamp[new] <= cutoff[:, None])
+        target[new] = pick
+        n = len(lo) if settled == len(new) else int(new[settled])
         target[repeat] = target[first[repeat]]
-        placed = np.zeros(n, dtype=bool)
-        placed[absent] = True
-        placed &= ~repeat & (target >= 0)
-        rows, cols = np.divmod(np.maximum(target, 0), slots)
-        old = np.where(repeat, ts[first], self._stamp[rows, cols])
+        placed = np.zeros(len(lo), dtype=bool)
+        placed[new] = pick >= 0
+        old = np.where(repeat, ts[first], stamp[np.maximum(target, 0)])
         fills = placed & (old == _EMPTY)
-        # A write can turn a slot between free and live for a later
-        # placement only if its new stamp, or a refreshed slot's old one,
-        # is at or below that placement's cutoff.
-        latest_cutoff = cutoff.max()
-        flips = np.flatnonzero((target >= 0) & (
-            (ts <= latest_cutoff) | (~placed & (old <= latest_cutoff))))
         placing = np.flatnonzero(placed)
-        blocked = (
-            (target < 0)
-            | (self._occupied + np.cumsum(fills) >= self._grow_at * self.capacity)
-            | (~repeat & (_first_writer(placing, target[placing], target) < positions))
-        )
-        for bucket in (b1, b2):
-            blocked[placing] |= _first_writer(flips, rows[flips], bucket[placing]) < placing
-        run = int(np.argmax(blocked)) if blocked.any() else n
-        return run, placed, fills
+        blocked = (target < 0) | (
+            ~placed & ~repeat
+            & (_first_writer(placing, target[placing], target) < positions))
+        if len(new) and not rehash:
+            # A write can turn a slot between free and live for a later
+            # placement only if its new stamp, or a refreshed slot's old
+            # one, is at or below that placement's cutoff.
+            latest = np.max(cutoff)
+            flips = np.flatnonzero((target >= 0) & (
+                (ts <= latest) | (~placed & (old <= latest))))
+            if len(flips):
+                rows = target[flips] // slots
+                for bucket in (b1, b2):
+                    blocked[placing] |= (
+                        _first_writer(flips, rows, bucket[placing]) < placing)
+        return target, placed, fills, blocked, n
 
     # -- maintenance ------------------------------------------------------------
 
@@ -554,6 +650,7 @@ class CuckooFlowTable:
         if n:
             self._stamp[dead] = _EMPTY
             self._occupied -= n
+            self._epoch += 1
 
     def _grow(self, now: float, cause: str) -> None:
         if self._order >= self._max_order:
@@ -563,13 +660,12 @@ class CuckooFlowTable:
         self._alloc()
         self.grows += 1
         self.grow_causes[cause] += 1
-        # Exact rehash of every live entry; expired ones are garbage-collected
-        # by the move.
+        self._epoch += 1
+        # Exact rehash of every live entry, in the old layout's order;
+        # expired ones are garbage-collected by the move.
         live = old_stamp > now - self._lifetime
-        for lo, hi, ts in zip(
-            old_lo[live].tolist(), old_hi[live].tolist(), old_stamp[live].tolist()
-        ):
-            self._insert(lo, hi, ts, now)
+        self._insert_many(old_lo[live], old_hi[live], old_stamp[live], now,
+                          None, rehash=True)
 
     def grow_for_pressure(self, now: float, cause: str = "fpr") -> bool:
         """Externally requested doubling (e.g. measured-FPR trigger).
@@ -640,6 +736,8 @@ class CuckooFlowTable:
         table.inserts = table.refreshes = table.kicks = 0
         table.grows = table.overwrites = table.lookups = table.hits = 0
         table.grow_causes = {cause: 0 for cause in _GROW_CAUSES}
+        table._epoch = 0
+        table._path = ()
         return table
 
     def copy(self) -> "CuckooFlowTable":

@@ -103,6 +103,26 @@ class VerifySpec:
         return out
 
 
+#: Odd multiplier of the 64-bit key mix :func:`_key_groups` sorts by.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _key_groups(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Indices that sort the (lo, hi) keys into groups of equal keys, each
+    group in index order.
+
+    One stable argsort on a 64-bit mix of the key; when two different keys
+    share a mix value (an equal-mix neighbour with another key), it falls
+    back to the exact two-key lexsort."""
+    mix = lo ^ (hi * _MIX)
+    order = np.argsort(mix, kind="stable")
+    s_mix, s_lo, s_hi = mix[order], lo[order], hi[order]
+    if np.any((s_mix[1:] == s_mix[:-1])
+              & ((s_lo[1:] != s_lo[:-1]) | (s_hi[1:] != s_hi[:-1]))):
+        order = np.lexsort((lo, hi))
+    return order
+
+
 class _HybridInstruments:
     """Bound ``repro_hybrid_*`` instruments for one live-registry filter."""
 
@@ -307,104 +327,120 @@ class HybridVerifiedFilter(PacketFilterMixin):
         """Replay inserts and lookups in packet order — bit-identical to the
         scalar path (lookups never mutate, so interleaving is exact).
 
-        The replay itself is vectorized whenever that is provably safe (the
-        serving hot path always is); otherwise it falls back to the literal
-        scalar interleave."""
+        With the FPR trigger armed, the batch is cut right after each
+        lookup that closes an ``fpr_window``, so the trigger's grow lands
+        between the same two operations, at the same timestamp, as on the
+        scalar path.  Each piece is replayed vectorized until the table
+        reaches its ``max_order`` ceiling, where an insert may overwrite a
+        *live* entry — the one mutation the vectorized replay cannot model;
+        from there on, and for unordered timestamps, the replay is the
+        literal scalar interleave."""
         idxs = np.nonzero(insert_mask | check_mask)[0]
         if len(idxs) == 0:
             return
-        n_inserts = int(np.count_nonzero(insert_mask))
-        if (
-            self.spec.resize_fpr <= 0.0
-            and self._ceiling_unreachable(n_inserts)
-            and bool(np.all(np.diff(ts[idxs]) >= 0.0))
-        ):
-            self._verify_exact_vec(lo, hi, ts, insert_mask, check_mask,
-                                   mask, idxs)
+        a_ts = ts[idxs]
+        if not bool(np.all(np.diff(a_ts) >= 0.0)):
+            self._verify_exact_scalar(lo, hi, ts, insert_mask, mask, idxs)
             return
-        self._verify_exact_scalar(lo, hi, ts, insert_mask, check_mask,
-                                  mask, idxs)
-
-    def _ceiling_unreachable(self, n_inserts: int) -> bool:
-        """True when this batch provably cannot drive the table to the
-        ``max_order`` ceiling — the only state where an insert may overwrite
-        a *live* entry, which is the one mutation the vectorized replay
-        cannot model.  Simulates worst-case growth (every insert a brand-new
-        key, nothing expired)."""
+        is_insert = insert_mask[idxs]
+        ends = [len(idxs) - 1]
+        if self.spec.resize_fpr > 0.0:
+            lookups = self._window_lookups + np.cumsum(~is_insert)
+            closes = np.flatnonzero(~is_insert
+                                    & (lookups % self.spec.fpr_window == 0))
+            ends = closes.tolist() + ends
+        a_lo, a_hi = lo[idxs], hi[idxs]
         table = self.table
-        occupancy = table.occupancy + n_inserts
-        order, capacity = table.order, table.capacity
-        while occupancy >= table.grow_at * capacity:
-            if order >= table.max_order:
-                return False
-            order += 1
-            capacity *= 2
-        return True
+        start = 0
+        for end in ends:
+            if start > end:
+                break
+            done = 0
+            if table.order < table.max_order:
+                piece = slice(start, end + 1)
+                checked, denied, done = self._verify_exact_vec(
+                    a_lo[piece], a_hi[piece], a_ts[piece], is_insert[piece],
+                    idxs[piece], mask)
+                self._note_lookups(checked, denied, float(a_ts[end]))
+            if start + done <= end:
+                self._verify_exact_scalar(lo, hi, ts, insert_mask, mask,
+                                          idxs[start + done:])
+                return
+            start = end + 1
 
-    def _verify_exact_vec(self, lo, hi, ts, insert_mask, check_mask,
-                          mask, idxs) -> None:
-        """Vectorized exact replay.
+    def _verify_exact_vec(self, lo, hi, ts, is_insert, positions,
+                          mask) -> Tuple[int, int, int]:
+        """Vectorized exact replay of one piece of active operations (in
+        packet order; ``positions`` index ``mask``).  Returns (lookups,
+        denied, done): ``done`` leading operations took effect — all of
+        them, unless an insert grew the table to its ``max_order`` ceiling,
+        in which case the piece stops right after that insert.
 
         Lookups never mutate the table, so every check's verdict is fully
-        determined by (a) the latest *preceding* in-batch insert of the same
-        key — its stamp is exactly that insert's timestamp — or, absent one,
-        (b) the pre-batch table state at the check's own cutoff.  Mid-batch
-        purges and grows only ever drop entries already expired relative to
-        an earlier timestamp, which (timestamps being monotonic — a fast-path
-        precondition) every later check would reject anyway; live-entry
-        overwrites are excluded by :meth:`_ceiling_unreachable`.  Inserts are
-        then applied in array order, which :meth:`CuckooFlowTable.insert_batch`
-        keeps bit-identical to sequential scalar inserts."""
+        determined by (a) the latest *preceding* in-piece insert of the
+        same key — its stamp is exactly that insert's timestamp — or,
+        absent one, (b) the table state at the piece's start, at the
+        check's own cutoff.  Purges and grows below the ceiling only ever
+        drop entries already expired relative to an earlier timestamp,
+        which (timestamps being monotonic — a fast-path precondition) every
+        later check would reject anyway.  Inserts are then applied in
+        order, which :meth:`CuckooFlowTable.insert_batch` keeps
+        bit-identical to sequential scalar inserts."""
         table = self.table
-        ins = np.nonzero(insert_mask)[0]
-        chk = np.nonzero(check_mask)[0]
+        ins = np.flatnonzero(is_insert)
+        chk = np.flatnonzero(~is_insert)
         b1, b2 = table.bucket_pairs(lo, hi)
         if len(chk) == 0:
-            if len(ins):
-                table.insert_batch(lo[ins], hi[ins], ts[ins],
-                                   buckets=(b1[ins], b2[ins]))
-            return
-        pre_live = table.contains_batch(lo[chk], hi[chk], ts[chk],
-                                        buckets=(b1[chk], b2[chk]))
-        pre_hits = int(pre_live.sum())
-        # Latest preceding insert per check, per key: sort by (key, position)
-        # and take a grouped running max of insert positions.
-        a_lo, a_hi = lo[idxs], hi[idxs]
-        a_ins = insert_mask[idxs]
-        order = np.lexsort((idxs, a_lo, a_hi))
-        s_lo, s_hi = a_lo[order], a_hi[order]
-        s_ins, s_pos = a_ins[order], idxs[order]
+            applied = table.insert_batch(lo, hi, ts, buckets=(b1, b2),
+                                         until_order=table.max_order)
+            return 0, 0, applied
+        live = np.zeros(len(lo), dtype=bool)
+        live[chk] = table.contains_batch(lo[chk], hi[chk], ts[chk],
+                                         buckets=(b1[chk], b2[chk]))
+        pre_hits = int(np.count_nonzero(live))
+        # Latest preceding insert per check, per key: group equal keys in
+        # piece order and take a grouped running max of insert indices.
+        order = _key_groups(lo, hi)
+        s_lo, s_hi = lo[order], hi[order]
         new_group = np.empty(len(order), dtype=bool)
         new_group[0] = True
         new_group[1:] = (s_lo[1:] != s_lo[:-1]) | (s_hi[1:] != s_hi[:-1])
         group = np.cumsum(new_group, dtype=np.int64) - 1
-        base = np.int64(len(mask) + 1)
-        adjusted = np.where(s_ins, s_pos, -1) + group * base
+        base = np.int64(len(lo) + 1)
+        s_ins = is_insert[order]
+        adjusted = np.where(s_ins, order, -1) + group * base
         pred = np.maximum.accumulate(adjusted) - group * base   # -1 → none
-        is_check = ~s_ins
-        pred_check = pred[is_check]
-        pos_check = s_pos[is_check]
-        has_pred = pred_check >= 0
-        pred_ts = ts[np.where(has_pred, pred_check, 0)]
-        live_pred = has_pred & (pred_ts > ts[pos_check] - table.lifetime)
-        ok = np.where(has_pred, live_pred,
-                      pre_live[np.searchsorted(chk, pos_check)])
+        pred = pred[~s_ins]
+        at = order[~s_ins]
+        has_pred = pred >= 0
+        ok = np.where(
+            has_pred,
+            ts[np.maximum(pred, 0)] > ts[at] - table.lifetime,
+            live[at])
+        done = len(lo)
         if len(ins):
-            table.insert_batch(lo[ins], hi[ins], ts[ins],
-                               buckets=(b1[ins], b2[ins]))
-        denied_pos = pos_check[~ok]
-        if len(denied_pos):
-            mask[denied_pos] = False
-        checked = len(pos_check)
+            applied = table.insert_batch(lo[ins], hi[ins], ts[ins],
+                                         buckets=(b1[ins], b2[ins]),
+                                         until_order=table.max_order)
+            if table.order >= table.max_order:
+                done = int(ins[applied - 1]) + 1
+                kept = at < done
+                at, ok = at[kept], ok[kept]
+                # The lookups past the cut are replayed (and counted) again.
+                table.lookups -= len(chk) - len(at)
+        denied_pos = positions[at[~ok]]
+        mask[denied_pos] = False
+        checked = len(at)
         denied = len(denied_pos)
         self.confirmed += checked - denied
         self.denied += denied
         # contains_batch counted pre-state hits; the interleaved replay's
         # hit count is the confirmed count.
         table.hits += (checked - denied) - pre_hits
+        return checked, denied, done
 
-    def _verify_exact_scalar(self, lo, hi, ts, insert_mask, check_mask,
-                             mask, idxs) -> None:
+    def _verify_exact_scalar(self, lo, hi, ts, insert_mask, mask,
+                             idxs) -> None:
         is_insert = insert_mask[idxs].tolist()
         lo_s = lo[idxs].tolist()
         hi_s = hi[idxs].tolist()

@@ -9,8 +9,9 @@ Two halves:
 
 2. *Measured operation costs* on the real data structures: per-op insert and
    lookup times and full garbage-collection sweeps at geometrically growing
-   flow counts, demonstrating the complexity column (hash chains degrade
-   with load, AVL grows logarithmically, bitmap stays flat).
+   flow counts (each the fastest of three timed runs), demonstrating the
+   complexity column (hash chains degrade with load, AVL grows
+   logarithmically, bitmap stays flat).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import render_table
 from repro.core.bitmap import Bitmap
@@ -131,24 +132,50 @@ class Table1Result:
         return "\n".join(lines)
 
 
+#: Each operation is timed this many times and the fastest run is kept, so
+#: a burst of load from other processes rarely skews a growth ratio.
+REPEATS = 3
+
+
+def _best_of(run: Callable[[], object],
+             undo: Optional[Callable[[], object]] = None) -> float:
+    """Seconds of the fastest of :data:`REPEATS` calls of ``run``;
+    ``undo`` (untimed) restores the state between calls."""
+    best = float("inf")
+    for repeat in range(REPEATS):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+        if undo is not None and repeat < REPEATS - 1:
+            undo()
+    return best
+
+
 def _time_hashlist(population: int, probes: int, rng: random.Random) -> OpTiming:
     table = FlowHashTable(num_buckets=16384)
     keys = _random_keys(population, rng)
     for key in keys:
         table.insert(key, FlowState(1e18))
     new_keys = _random_keys(probes, rng)
-    t0 = time.perf_counter()
-    for key in new_keys:
-        table.insert(key, FlowState(1e18))
-    insert_ns = (time.perf_counter() - t0) / probes * 1e9
+
+    def insert():
+        for key in new_keys:
+            table.insert(key, FlowState(1e18))
+
+    def remove():
+        for key in new_keys:
+            table.remove(key)
+
+    insert_ns = _best_of(insert, remove) / probes * 1e9
     lookup_keys = [keys[rng.randrange(population)] for _ in range(probes)]
-    t0 = time.perf_counter()
-    for key in lookup_keys:
-        table.get(key)
-    lookup_ns = (time.perf_counter() - t0) / probes * 1e9
-    t0 = time.perf_counter()
-    table.sweep_expired(0.0)  # nothing expires; pure traversal cost
-    gc_ms = (time.perf_counter() - t0) * 1e3
+
+    def lookup():
+        for key in lookup_keys:
+            table.get(key)
+
+    lookup_ns = _best_of(lookup) / probes * 1e9
+    # Nothing expires: pure traversal cost.
+    gc_ms = _best_of(lambda: table.sweep_expired(0.0)) * 1e3
     return OpTiming(population, insert_ns, lookup_ns, gc_ms)
 
 
@@ -158,21 +185,31 @@ def _time_avl(population: int, probes: int, rng: random.Random) -> OpTiming:
     for key in keys:
         tree.put(key, FlowState(1e18))
     new_keys = _random_keys(probes, rng)
-    t0 = time.perf_counter()
-    for key in new_keys:
-        tree.put(key, FlowState(1e18))
-    insert_ns = (time.perf_counter() - t0) / probes * 1e9
+
+    def insert():
+        for key in new_keys:
+            tree.put(key, FlowState(1e18))
+
+    def remove():
+        for key in new_keys:
+            tree.remove(key)
+
+    insert_ns = _best_of(insert, remove) / probes * 1e9
     lookup_keys = [keys[rng.randrange(population)] for _ in range(probes)]
-    t0 = time.perf_counter()
-    for key in lookup_keys:
-        tree.get(key)
-    lookup_ns = (time.perf_counter() - t0) / probes * 1e9
-    t0 = time.perf_counter()
-    # Traverse everything (the GC pattern); nothing is expired.
-    for _key, state in tree.items():
-        if state.expires_at <= 0.0:
-            pass
-    gc_ms = (time.perf_counter() - t0) * 1e3
+
+    def lookup():
+        for key in lookup_keys:
+            tree.get(key)
+
+    lookup_ns = _best_of(lookup) / probes * 1e9
+
+    def sweep():
+        # Traverse everything (the GC pattern); nothing is expired.
+        for _key, state in tree.items():
+            if state.expires_at <= 0.0:
+                pass
+
+    gc_ms = _best_of(sweep) * 1e3
     return OpTiming(population, insert_ns, lookup_ns, gc_ms)
 
 
@@ -183,18 +220,20 @@ def _time_bitmap(population: int, probes: int, rng: random.Random, order: int = 
     for key in keys:
         bitmap.mark(hashes.indices(key))
     new_keys = [key[:4] for key in _random_keys(probes, rng)]
-    t0 = time.perf_counter()
-    for key in new_keys:
-        bitmap.mark(hashes.indices(key))
-    insert_ns = (time.perf_counter() - t0) / probes * 1e9
+
+    def insert():     # marks are idempotent: every repeat does the same work
+        for key in new_keys:
+            bitmap.mark(hashes.indices(key))
+
+    insert_ns = _best_of(insert) / probes * 1e9
     lookup_keys = [keys[rng.randrange(population)] for _ in range(probes)]
-    t0 = time.perf_counter()
-    for key in lookup_keys:
-        bitmap.test_current(hashes.indices(key))
-    lookup_ns = (time.perf_counter() - t0) / probes * 1e9
-    t0 = time.perf_counter()
-    bitmap.rotate()  # the bitmap's whole GC: one memset
-    gc_ms = (time.perf_counter() - t0) * 1e3
+
+    def lookup():
+        for key in lookup_keys:
+            bitmap.test_current(hashes.indices(key))
+
+    lookup_ns = _best_of(lookup) / probes * 1e9
+    gc_ms = _best_of(bitmap.rotate) * 1e3   # the bitmap's whole GC: one memset
     return OpTiming(population, insert_ns, lookup_ns, gc_ms)
 
 

@@ -15,7 +15,12 @@ import pytest
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
 from repro.core.cuckoo import pack_flow
 from repro.core.filter_api import Decision, PacketFilter
-from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
+from repro.core.hybrid import (
+    _MIX,
+    HybridVerifiedFilter,
+    VerifySpec,
+    _key_groups,
+)
 from repro.core.persistence import load_filter, save_filter
 from repro.net.packet import PacketArray
 from repro.telemetry import MetricsRegistry, use_registry
@@ -182,6 +187,61 @@ class TestAdaptiveResize:
         custom = make_hybrid(protected, VerifySpec(initial_order=4,
                                                    lifetime=3.5))
         assert custom.table.lifetime == 3.5
+
+
+def mix_twin(lo, hi, other_hi):
+    """A key (lo', other_hi) whose 64-bit mix equals that of (lo, hi)."""
+    with np.errstate(over="ignore"):
+        return np.uint64(lo) ^ (np.uint64(hi) * _MIX) ^ (np.uint64(other_hi)
+                                                         * _MIX)
+
+
+def assert_grouped(order, lo, hi):
+    """``order`` lists every index once, each key's indices contiguous and
+    ascending."""
+    assert sorted(order.tolist()) == list(range(len(lo)))
+    keys = list(zip(lo[order].tolist(), hi[order].tolist()))
+    runs = [keys[0]] + [b for a, b in zip(keys, keys[1:]) if a != b]
+    assert len(runs) == len(set(keys))
+    for key in set(keys):
+        at = [int(i) for i, k in zip(order, keys) if k == key]
+        assert at == sorted(at)
+
+
+class TestKeyGrouping:
+    def test_groups_equal_keys_in_index_order(self):
+        rng = np.random.default_rng(3)
+        lo = rng.integers(0, 4, 200).astype(np.uint64)
+        hi = rng.integers(0, 3, 200).astype(np.uint64)
+        assert_grouped(_key_groups(lo, hi), lo, hi)
+
+    def test_mix_collision_falls_back_to_exact_sort(self):
+        """Two different keys with one mix value, interleaved: the stable
+        argsort on the mix alone would put them in one group."""
+        lo_a, hi_a, hi_b = 0xAC10000500500006, 0x08080808, 0x01020304
+        lo_b = mix_twin(lo_a, hi_a, hi_b)
+        lo = np.array([lo_a, lo_b, lo_a, lo_b], dtype=np.uint64)
+        hi = np.array([hi_a, hi_b, hi_a, hi_b], dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            mix = lo ^ (hi * _MIX)
+        assert len(set(mix.tolist())) == 1
+        assert_grouped(_key_groups(lo, hi), lo, hi)
+
+    def test_lookup_between_colliding_keys_sees_its_own_insert(self,
+                                                              protected):
+        """Insert B, insert its mix twin A, look B up: the lookup must find
+        B's insert even though A sorts between them by mix."""
+        filt = make_hybrid(protected)
+        lo_a, hi_a, hi_b = 0xAC10000500500006, 0x08080808, 0x01020304
+        lo_b = mix_twin(lo_a, hi_a, hi_b)
+        lo = np.array([lo_b, lo_a, lo_b], dtype=np.uint64)
+        hi = np.array([hi_b, hi_a, hi_b], dtype=np.uint64)
+        mask = np.ones(3, dtype=bool)
+        checked, denied, done = filt._verify_exact_vec(
+            lo, hi, np.array([1.0, 1.2, 1.5]), np.array([True, True, False]),
+            np.arange(3), mask)
+        assert (checked, denied, done) == (1, 0, 3)
+        assert mask.all()
 
 
 class TestSnapshotAndTelemetry:

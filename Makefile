@@ -18,15 +18,11 @@ bench:
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience.py -m faults -s
 
-# Serial-vs-parallel equivalence proof (the suite itself sweeps the
-# sharded and shared backends at 1/2/4 workers), the workers-vs-pps
-# table, and the serve-throughput floor on the selected backend:
-#   make differential BACKEND=shared
-BACKEND ?= serial
+# Fleet and multi-site equivalence proofs (live daemons must match the
+# offline replay byte for byte) and the serve-throughput floor.
 differential:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/differential/ -m differential
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_parallel_scaling.py -s
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_serve_throughput.py -s --backend $(BACKEND)
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_serve_throughput.py -s
 
 # Online serving end-to-end smoke: boot the daemon, replay a trace with
 # --verify (online == offline verdicts), scrape /metrics, clean SIGTERM.

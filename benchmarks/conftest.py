@@ -3,13 +3,6 @@
 Benchmarks run the same experiment code as ``python -m repro`` at MEDIUM
 scale (DESIGN.md section 5) and print the paper-vs-measured reports; run
 with ``pytest benchmarks/ --benchmark-only -s`` to see them.
-
-The execution backend under test is selected once, for the whole run,
-with ``pytest benchmarks/ --backend {serial,sharded,shared}`` — every
-benchmark that cares consumes the ``backend`` fixture (no per-test
-environment-variable plumbing).  ``backend_serve_args`` turns the same
-selection into the ``repro serve`` CLI flags for daemon-booting
-benchmarks.
 """
 
 from __future__ import annotations
@@ -18,45 +11,6 @@ import pytest
 
 from repro.experiments.config import MEDIUM
 from repro.experiments.fig2 import generate_trace
-
-BACKEND_CHOICES = ("serial", "sharded", "shared")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        action="store",
-        default="serial",
-        choices=BACKEND_CHOICES,
-        help="execution backend the benchmarks drive the bitmap filter on",
-    )
-    parser.addoption(
-        "--backend-workers",
-        action="store",
-        type=int,
-        default=2,
-        help="worker processes for the parallel backends",
-    )
-
-
-@pytest.fixture(scope="session")
-def backend(request) -> str:
-    """The --backend selection: serial, sharded, or shared."""
-    return request.config.getoption("--backend")
-
-
-@pytest.fixture(scope="session")
-def backend_workers(request) -> int:
-    return request.config.getoption("--backend-workers")
-
-
-@pytest.fixture(scope="session")
-def backend_serve_args(backend, backend_workers) -> list:
-    """`repro serve` CLI flags selecting the backend under test."""
-    if backend == "serial":
-        return []
-    return ["--backend", backend, "--workers", str(backend_workers)]
-
 
 @pytest.fixture(scope="session")
 def scale():

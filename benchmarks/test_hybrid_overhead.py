@@ -1,7 +1,7 @@
 """Serve-path cost of the hybrid exact-verification tier.
 
-Boots two real ``repro serve`` daemons on the selected backend — one
-plain bitmap, one ``--filter hybrid`` — replays the same generated
+Boots two real ``repro serve`` daemons — one plain bitmap, one
+``--filter hybrid`` — replays the same generated
 client trace through the framing protocol, and measures each daemon's
 sustained packets/second from its own ``/metrics`` counters (the
 ``test_serve_throughput`` idiom).  The gate is relative, not absolute:
@@ -12,8 +12,7 @@ workload.  The hybrid daemon must also prove the tier actually engaged —
 ``repro_hybrid_confirmed_total`` > 0 — so the floor can never pass by
 silently serving a bare bitmap.
 
-Run with ``pytest benchmarks/test_hybrid_overhead.py -s`` (add
-``--backend shared`` etc. for the parallel backends).  Not part of
+Run with ``pytest benchmarks/test_hybrid_overhead.py -s``.  Not part of
 tier-1 (benchmarks/ is outside ``testpaths``).
 """
 
@@ -31,7 +30,7 @@ from repro.telemetry.exporters import parse_prometheus
 from repro.traffic.generator import generate_client_trace
 
 #: The hybrid daemon must sustain at least this fraction of the plain
-#: bitmap daemon's throughput on the same trace and backend.
+#: bitmap daemon's throughput on the same trace.
 MIN_RELATIVE_PPS = 0.5
 MIN_PACKETS = 100_000     # stream at least this many for a stable figure
 FRAME_PACKETS = 2000
@@ -97,8 +96,7 @@ def _measure_daemon(protected, frames, repeats, extra_args):
     return counted / elapsed, confirmed
 
 
-def test_hybrid_daemon_holds_relative_floor(capsys, backend,
-                                            backend_serve_args):
+def test_hybrid_daemon_holds_relative_floor(capsys):
     trace = generate_client_trace(duration=30.0, target_pps=1500.0, seed=11)
     packets = trace.packets
     frames = [packets[i:i + FRAME_PACKETS]
@@ -106,16 +104,13 @@ def test_hybrid_daemon_holds_relative_floor(capsys, backend,
     repeats = max(1, -(-MIN_PACKETS // len(packets)))  # ceil division
     protected = ",".join(str(net) for net in trace.protected.networks)
 
-    bitmap_pps, _ = _measure_daemon(protected, frames, repeats,
-                                    backend_serve_args)
+    bitmap_pps, _ = _measure_daemon(protected, frames, repeats, [])
     hybrid_pps, confirmed = _measure_daemon(
-        protected, frames, repeats,
-        [*backend_serve_args, "--filter", "hybrid"])
+        protected, frames, repeats, ["--filter", "hybrid"])
 
     ratio = hybrid_pps / bitmap_pps
     with capsys.disabled():
         print("\nhybrid verification tier — serve-path overhead")
-        print(f"  backend            {backend:>12}")
         print(f"  packets streamed   {repeats * len(packets):>12,}")
         print(f"  bitmap daemon      {bitmap_pps:>12,.0f} packets/s")
         print(f"  hybrid daemon      {hybrid_pps:>12,.0f} packets/s")

@@ -7,12 +7,7 @@ pipelining, and measures sustained packets/second *from the daemon's own
 across the replay divided by the wall time.  That proves the counters are
 trustworthy at load (they must equal the packets streamed) and that the
 full online path — framing, micro-batching, filtering, verdict delivery —
-sustains at least its backend's floor in :data:`TARGET_PPS`.
-
-The backend under test comes from the harness-wide ``--backend`` fixture
-(``pytest benchmarks/test_serve_throughput.py --backend shared -s``); the
-shared-memory backend's floor is deliberately much higher — one copy of
-the bits, epoch-indexed rotation, vectorized exact batches.
+sustains at least :data:`TARGET_PPS`.
 
 Run with ``pytest benchmarks/test_serve_throughput.py -s`` to see the
 table.  Not part of tier-1 (benchmarks/ is outside ``testpaths``).
@@ -31,14 +26,10 @@ from repro.serve.client import FilterClient
 from repro.telemetry.exporters import parse_prometheus
 from repro.traffic.generator import generate_client_trace
 
-#: Sustained-throughput floor per execution backend (packets/second,
-#: measured end-to-end through the framing protocol on one core — see
-#: EXPERIMENTS.md for the measured values these floors are derated from).
-TARGET_PPS = {
-    "serial": 100_000,
-    "sharded": 100_000,
-    "shared": 700_000,
-}
+#: Sustained-throughput floor (packets/second, measured end-to-end
+#: through the framing protocol on one core — see EXPERIMENTS.md for the
+#: measured values this floor is derated from).
+TARGET_PPS = 100_000
 MIN_PACKETS = 100_000     # stream at least this many for a stable figure
 FRAME_PACKETS = 2000
 WINDOW = 16
@@ -54,10 +45,10 @@ def _scrape_counter(url: str, name: str) -> float:
     raise AssertionError(f"{name} not found in {url}")
 
 
-def _boot_daemon(protected: str, backend_args: list):
+def _boot_daemon(protected: str):
     cmd = [sys.executable, "-m", "repro", "serve",
            "--protected", protected, "--port", "0", "--http-port", "0",
-           "--clock", "wall", "--dt", "5.0", *backend_args]
+           "--clock", "wall", "--dt", "5.0"]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.Popen(cmd, cwd=REPO_ROOT, env=env, text=True,
@@ -68,9 +59,7 @@ def _boot_daemon(protected: str, backend_args: list):
     return proc, json.loads(line.split("READY ", 1)[1])
 
 
-def test_serve_sustains_target_throughput(capsys, backend,
-                                          backend_serve_args):
-    target_pps = TARGET_PPS[backend]
+def test_serve_sustains_target_throughput(capsys):
     trace = generate_client_trace(duration=30.0, target_pps=1500.0, seed=11)
     packets = trace.packets
     frames = [packets[i:i + FRAME_PACKETS]
@@ -78,7 +67,7 @@ def test_serve_sustains_target_throughput(capsys, backend,
     repeats = max(1, -(-MIN_PACKETS // len(packets)))  # ceil division
     protected = ",".join(str(net) for net in trace.protected.networks)
 
-    proc, info = _boot_daemon(protected, backend_serve_args)
+    proc, info = _boot_daemon(protected)
     try:
         host, port = info["data"]
         metrics_url = "http://{}:{}/metrics".format(*info["http"])
@@ -106,15 +95,14 @@ def test_serve_sustains_target_throughput(capsys, backend,
     pps = counted / elapsed
     with capsys.disabled():
         print("\nonline serving throughput (live /metrics counters)")
-        print(f"  backend            {backend:>12}")
         print(f"  packets streamed   {streamed:>12,}")
         print(f"  packets counted    {counted:>12,}")
         print(f"  verdicts received  {verdict_count:>12,}")
         print(f"  wall time          {elapsed:>12.3f} s")
         print(f"  throughput         {pps:>12,.0f} packets/s "
-              f"(target >= {target_pps:,})")
+              f"(target >= {TARGET_PPS:,})")
 
     assert code == 0
     assert counted == streamed == verdict_count
-    assert pps >= target_pps, (
-        f"{backend} daemon sustained {pps:,.0f} packets/s < {target_pps:,}")
+    assert pps >= TARGET_PPS, (
+        f"daemon sustained {pps:,.0f} packets/s < {TARGET_PPS:,}")

@@ -60,7 +60,7 @@ def main() -> None:
         host, port = info["data"]
         metrics_url = "http://{}:{}/metrics".format(*info["http"])
         print(f"serve-smoke: daemon ready on {host}:{port} "
-              f"(backend={info['backend']}, clock={info['clock']})")
+              f"(clock={info['clock']})")
 
         replay = subprocess.run(
             [sys.executable, "-m", "repro", "replay-to", str(trace_path),

@@ -43,22 +43,6 @@ def _experiment_args(parser: argparse.ArgumentParser, default: str) -> None:
         action="store_true",
         help="collect per-stage wall times and append the breakdown",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run bitmap filters on a parallel backend with N worker "
-             "processes (results are bit-for-bit identical to serial; "
-             "see docs/parallel.md)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "sharded", "shared"),
-        default=None,
-        help="execution backend for bitmap filters (default: sharded when "
-             "--workers is given, serial otherwise)",
-    )
     _filter_arg(parser)
 
 
@@ -202,7 +186,7 @@ def _cmd_filter(args: argparse.Namespace) -> str:
         order=args.order, num_vectors=args.k, num_hashes=args.m,
         rotation_interval=args.dt, seed=args.hash_seed,
         layers=("verify",) if args.filter == "hybrid" else ())
-    filt = build_filter(config, trace.protected, backend="serial")
+    filt = build_filter(config, trace.protected)
     verdicts = filt.process_batch(trace.packets, exact=True)
 
     lines = [
@@ -251,8 +235,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         host=args.host, port=args.port, unix_path=args.unix,
         http_host=args.http_host, http_port=args.http_port,
         http=not args.no_http,
-        workers=args.workers or 0,
-        backend=args.backend or "auto",
         clock=args.clock,
         exact=not args.windowed,
         backpressure=args.backpressure,
@@ -271,7 +253,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
             "data": list(daemon.data_address),
             "unix": daemon.unix_address,
             "http": list(daemon.http_address) if daemon.http_address else None,
-            "backend": daemon.backend,
             "clock": config.clock,
         }
         # Machine-readable readiness line: supervisors and the smoke tests
@@ -392,8 +373,7 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
                 protected, size=args.fleet,
                 workdir=tempfile.mkdtemp(prefix="repro-fleet-"),
                 fail_policy=args.fail_policy,
-                filter_kind=getattr(args, "filter", "bitmap"),
-                backend=getattr(args, "backend", None))
+                filter_kind=getattr(args, "filter", "bitmap"))
             specs = manager.start()
         else:
             specs = []
@@ -601,7 +581,7 @@ def _offline_reference(info: dict, packets) -> "np.ndarray":
     fcfg = dict(info["filter"])
     policy = FailPolicy(fcfg.pop("fail_policy"))
     twin = build_filter(FilterConfig(**fcfg), AddressSpace(info["protected"]),
-                        fail_policy=policy, backend="serial")
+                        fail_policy=policy)
     offline = run_filter_on_trace(
         twin, Trace(packets, AddressSpace(info["protected"])),
         exact=info["exact"])
@@ -645,8 +625,7 @@ def _cmd_replay_to(args: argparse.Namespace) -> str:
     lines = [
         f"streamed {total} packets in {len(frames) * args.repeat} frames "
         f"over {elapsed:.3f}s ({pps:,.0f} packets/s)",
-        f"daemon: backend={info['backend']} workers={info['workers']} "
-        f"clock={info['clock']} backpressure={info['backpressure']}",
+        f"daemon: clock={info['clock']} backpressure={info['backpressure']}",
         f"passed: {int(verdicts.sum())}  dropped: {int((~verdicts).sum())}",
     ]
     if args.verify:
@@ -666,7 +645,7 @@ def _cmd_replay_to(args: argparse.Namespace) -> str:
             policy = FailPolicy(fcfg.pop("fail_policy"))
             twin = build_filter(
                 FilterConfig(**fcfg), AddressSpace(info["protected"]),
-                fail_policy=policy, backend="serial")
+                fail_policy=policy)
             offline = run_filter_on_trace(
                 twin, Trace(packets, AddressSpace(info["protected"])),
                 exact=info["exact"])
@@ -921,15 +900,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics/health/snapshot port (0 = ephemeral)")
     serve.add_argument("--no-http", action="store_true",
                        help="disable the embedded HTTP endpoint")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker processes for the parallel backends "
-                            "(with --backend unset, N>1 implies sharded)")
-    serve.add_argument("--backend",
-                       choices=("serial", "sharded", "shared"),
-                       default=None,
-                       help="execution backend: serial, sharded replicas, "
-                            "or one shared-memory bitmap (fastest; see "
-                            "docs/parallel.md)")
+    serve.add_argument("--backend", choices=("serial",), default="serial",
+                       help="accepted for existing command lines; the "
+                            "filter always runs in the daemon process")
     serve.add_argument("--clock", choices=("wall", "packet"), default="wall",
                        help="wall: rotations every dt of real time (live "
                             "default); packet: rotations follow packet "
@@ -990,10 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fleet degraded policy for flows whose node "
                             "is unreachable")
     _filter_arg(fleet)
-    fleet.add_argument("--backend", choices=("serial", "sharded", "shared"),
-                       default=None,
-                       help="execution backend for the spawned fleet "
-                            "daemons (requires --fleet)")
     fleet.add_argument("--kill-node", type=int, default=None, metavar="I",
                        help="SIGKILL the I-th node mid-replay "
                             "(requires --fleet)")
@@ -1067,45 +1036,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _backend_scope(args: argparse.Namespace):
-    """The construction context (backend + layers) the run executes under.
+def _layer_scope(args: argparse.Namespace):
+    """The ambient layer stack the run executes under.
 
-    ``--backend``/``--workers N`` install a parallel backend for the whole
-    command, so every ``build_filter`` call inside the experiments fans
-    out; ``--workers`` alone keeps its historical meaning (sharded).
-    ``--filter hybrid`` installs the ambient ``("verify",)`` layer stack
-    the same way, so the experiments wrap every filter they build.
-    Without any of these flags this is a no-op scope.
+    ``--filter hybrid`` installs the ``("verify",)`` stack, so the
+    experiments wrap every filter they build; otherwise this is a no-op
+    scope.  The daemon builds its own stack from ``ServeConfig`` / the
+    fleet's filter args, so ``serve`` and ``replay-to`` get none.
     """
-    from contextlib import ExitStack
+    from contextlib import nullcontext
 
-    workers = getattr(args, "workers", None)
-    backend = getattr(args, "backend", None)
-    scope = ExitStack()
-    if args.experiment in ("serve", "replay-to"):
-        # The daemon builds its own stack from ServeConfig / the fleet's
-        # filter args; no ambient scope needed.
-        return scope
-    if getattr(args, "filter", "bitmap") == "hybrid":
-        from repro.core.filter_api import use_layers
+    if (args.experiment in ("serve", "replay-to")
+            or getattr(args, "filter", "bitmap") != "hybrid"):
+        return nullcontext()
+    from repro.core.filter_api import use_layers
 
-        scope.enter_context(use_layers(("verify",)))
-    if workers is None and backend in (None, "serial"):
-        return scope
-    from repro.core.filter_api import use_backend
-
-    if backend is None:
-        backend = "sharded"
-    if backend == "serial":
-        scope.enter_context(use_backend(name="serial"))
-    else:
-        scope.enter_context(use_backend(name=backend, workers=workers or 2))
-    return scope
+    return use_layers(("verify",))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with _backend_scope(args):
+    with _layer_scope(args):
         return _dispatch(args)
 
 

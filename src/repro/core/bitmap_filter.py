@@ -543,13 +543,7 @@ class BitmapFilter(PacketFilterMixin):
             self._tel.marks["scalar"].inc()
 
     def _test_incoming(self, pkt: Packet) -> bool:
-        """The scalar bitmap membership test for one incoming packet.
-
-        Split out as a hook: the shared-memory backend overrides it to
-        route the lookup through the packet's owner reader process (same
-        shared bits, different process) while every other piece of the
-        incoming path — warm-up grace, APD, stats — stays inherited.
-        """
+        """The scalar bitmap membership test for one incoming packet."""
         key = bitmap_key_incoming(pkt.proto, pkt.dst, pkt.dport, pkt.src)
         return self.bitmap.test_current(self.hashes.indices(key))
 
@@ -846,8 +840,7 @@ class BitmapFilter(PacketFilterMixin):
         (what :func:`repro.core.persistence.save_filter` persists); the rest
         restores the rotation bookkeeping and, optionally, the counters.
         The configuration must already match — this only moves state, so
-        restore paths (including sharded worker replicas, which receive
-        this call over the worker pipe) validate geometry up front.
+        restore paths validate geometry up front.
         """
         vectors = np.asarray(vectors, dtype=np.uint8)
         expected = (self.config.num_vectors, (1 << self.config.order) // 8)
@@ -875,10 +868,8 @@ class BitmapFilter(PacketFilterMixin):
 
         The memory-corruption fault surface (see
         :class:`~repro.faults.injectors.BitFlips`).  Deterministic in
-        ``seed``, so replicas fed the same call corrupt identically — the
-        sharded backend relies on this to keep worker bitmaps bit-for-bit
-        equal to the serial filter under fault injection.  Returns the
-        number of bits flipped.
+        ``seed``, so a replayed fault schedule corrupts identically.
+        Returns the number of bits flipped.
         """
         if not 0 <= fraction <= 1:
             raise ValueError("flip fraction must be within [0, 1]")

@@ -22,8 +22,8 @@ Design:
   fully deterministic.
 - **Lazy expiry.**  Entries carry the timestamp of their last refresh and
   are live for ``lifetime`` seconds (the hybrid filter resolves this to the
-  bitmap's expiry timer Te by default).  Lookups never mutate, so serial
-  and parallel executions observe identical tables.
+  bitmap's expiry timer Te by default).  Lookups never mutate, so scalar
+  and batch paths observe identical tables.
 - **Adaptive resize.**  When occupied slots cross ``grow_at`` of capacity
   the table first purges expired entries in place; if still over, it
   doubles (``order + 1``) and rehashes every live entry exactly.  A resize

@@ -5,7 +5,7 @@ Two things live here:
 
 **The protocol.**  :class:`PacketFilter` is the single interface all seven
 filter implementations present (bitmap, close-aware, SPI baselines,
-throttle, sharded/shared parallel, hybrid-verified):
+throttle, hybrid-verified):
 
 - ``observe_out(pkt)`` / ``observe_out_batch(packets)`` — record outgoing
   traffic (mark the bitmap, insert/refresh flow state);
@@ -19,24 +19,21 @@ Batches are time-sorted :class:`~repro.net.packet.PacketArray` instances of
 ``observe_out``/``admit_in`` on a packet of the other direction is safe
 (non-incoming packets always admit).
 
-**The factory.**  :func:`build_filter` replaces the three historical
-construction paths (``BitmapFilter.from_config``,
-``repro.parallel.create_filter``, ``restore_serve_filter``) with one
-registry-driven entry point:
+**The factory.**  :func:`build_filter` is the one construction path for
+every bitmap filter stack:
 
-- an **execution backend** (``serial`` / ``sharded`` / ``shared``) chosen
-  explicitly, or ambiently via :func:`set_backend` / :func:`use_backend` —
-  parallel backends register themselves from :mod:`repro.parallel.backend`;
+- a :class:`~repro.core.bitmap_filter.BitmapFilter` at the base, running
+  in the calling process;
 - a stack of **layers** wrapped around the base filter, described by frozen
   spec objects (e.g. :class:`~repro.core.hybrid.VerifySpec`, kind
   ``"verify"``) carried on ``FilterConfig.layers``, passed as
   ``layers=("verify", ...)``, or installed ambiently with
   :func:`use_layers`;
-- an optional **snapshot** warm start (``snapshot=path``) subsuming
-  ``restore_serve_filter``: the checksummed v2 archive is loaded, a fresh
-  shell is built on the requested backend under the caller's telemetry
-  registry, the state (bit vectors *and* any cuckoo verification table) is
-  applied, and the recorded layer stack is re-wrapped.
+- an optional **snapshot** warm start (``snapshot=path``): the
+  checksummed v2 archive is loaded, a fresh filter is built under the
+  caller's telemetry registry, the state (bit vectors *and* any cuckoo
+  verification table) is applied, and the recorded layer stack is
+  re-wrapped.
 
 CLI (``--filter hybrid``), serve, fleet, and snapshot restore all construct
 filters through this one factory.
@@ -45,11 +42,10 @@ filters through this one factory.
 from __future__ import annotations
 
 import enum
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Optional,
-                    Protocol, Tuple, Union, runtime_checkable)
+from dataclasses import fields
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Protocol, Tuple,
+                    Union, runtime_checkable)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -116,116 +112,13 @@ class PacketFilterMixin:
         return self.process_batch(packets)
 
 
-def deprecated_alias(old_name: str, new_name: str,
-                     note: str = "the unified PacketFilter API") -> None:
-    """Warn once per call site that ``old_name`` is a compatibility shim."""
-    warnings.warn(
-        f"{old_name} is deprecated; use {new_name} ({note}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Execution backends (moved here from repro.parallel.backend, which now
-# re-exports them — serial construction must not import multiprocessing).
+# Layer registry: kind -> wrapper.
 # ---------------------------------------------------------------------------
-
-#: Every selectable backend, in the order the CLI surfaces them.
-BACKEND_NAMES = ("serial", "sharded", "shared")
-
-
-@dataclass(frozen=True)
-class ExecutionBackend:
-    """Where filter work runs: in-process, or fanned out over workers."""
-
-    name: str = "serial"
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.name not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.name!r}; choose from {BACKEND_NAMES}")
-        if self.workers < 1:
-            raise ValueError("backend needs at least one worker")
-        if self.name == "serial" and self.workers != 1:
-            raise ValueError("the serial backend has exactly one worker")
-
-    @property
-    def is_sharded(self) -> bool:
-        return self.name == "sharded"
-
-    @property
-    def is_shared(self) -> bool:
-        return self.name == "shared"
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.name != "serial"
-
-
-#: The default: everything in-process.
-SERIAL_BACKEND = ExecutionBackend()
-
-_active_backend: ExecutionBackend = SERIAL_BACKEND
-
-
-def get_backend() -> ExecutionBackend:
-    """The backend :func:`build_filter` consults when none is given."""
-    return _active_backend
-
-
-def set_backend(backend: Optional[ExecutionBackend]) -> ExecutionBackend:
-    """Install ``backend`` process-wide (None → serial); returns the
-    previous one so callers can restore it."""
-    global _active_backend
-    previous = _active_backend
-    _active_backend = backend if backend is not None else SERIAL_BACKEND
-    return previous
-
-
-@contextmanager
-def use_backend(backend: Optional[ExecutionBackend] = None, *,
-                name: Optional[str] = None, workers: Optional[int] = None):
-    """Scoped :func:`set_backend`: yields the backend, restores on exit.
-
-    Accepts either a ready :class:`ExecutionBackend` or the ``name=``/
-    ``workers=`` fields to build one (``use_backend(name="shared",
-    workers=4)``).
-    """
-    if backend is None:
-        fields = {}
-        if name is not None:
-            fields["name"] = name
-        if workers is not None:
-            fields["workers"] = workers
-        backend = ExecutionBackend(**fields)
-    elif name is not None or workers is not None:
-        raise TypeError("pass either a backend object or name=/workers= "
-                        "fields, not both")
-    previous = set_backend(backend)
-    try:
-        yield backend
-    finally:
-        set_backend(previous)
-
-
-# ---------------------------------------------------------------------------
-# Registries: backend builders and layer wrappers.
-# ---------------------------------------------------------------------------
-
-#: backend name -> builder(config, protected, *, workers, start_time, apd,
-#:                         fail_policy, telemetry, mp_context, config_fields)
-FILTER_BACKENDS: Dict[str, Callable] = {}
 
 #: layer kind -> wrapper(inner_filter, spec, *, telemetry) and its spec class
 LAYER_BUILDERS: Dict[str, Callable] = {}
 LAYER_SPECS: Dict[str, type] = {}
-
-
-def register_backend(name: str, builder: Callable) -> None:
-    """Register a filter builder for an execution-backend name."""
-    FILTER_BACKENDS[name] = builder
 
 
 def register_layer(spec_cls: type, builder: Callable) -> None:
@@ -234,32 +127,6 @@ def register_layer(spec_cls: type, builder: Callable) -> None:
     kind = spec_cls.kind
     LAYER_SPECS[kind] = spec_cls
     LAYER_BUILDERS[kind] = builder
-
-
-def _serial_builder(config, protected, *, workers, start_time, apd,
-                    fail_policy, telemetry, mp_context, config_fields):
-    del workers, mp_context  # one in-process worker, no subprocesses
-    from repro.core.bitmap_filter import BitmapFilter
-
-    return BitmapFilter(config, protected, start_time=start_time, apd=apd,
-                        fail_policy=fail_policy, telemetry=telemetry,
-                        **config_fields)
-
-
-register_backend("serial", _serial_builder)
-
-
-def _require_backend_builder(name: str) -> Callable:
-    if name not in FILTER_BACKENDS:
-        # Parallel builders register on import; pull them in lazily so the
-        # serial path never touches multiprocessing.
-        import repro.parallel.backend  # noqa: F401
-    try:
-        return FILTER_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"no builder registered for backend {name!r}; "
-            f"registered: {sorted(FILTER_BACKENDS)}") from None
 
 
 def _require_layer_kind(kind: str):
@@ -329,8 +196,7 @@ def get_layers() -> Tuple[object, ...]:
 
 @contextmanager
 def use_layers(layers):
-    """Scoped ambient layer stack — the layers analogue of
-    :func:`use_backend`; the CLI's ``--filter hybrid`` is exactly
+    """Scoped ambient layer stack; the CLI's ``--filter hybrid`` is exactly
     ``use_layers(("verify",))`` around the experiment run."""
     global _active_layers
     previous = _active_layers
@@ -352,27 +218,6 @@ def _apply_layers(filt, layers, *, telemetry=None):
 # The factory.
 # ---------------------------------------------------------------------------
 
-def _resolve_backend(backend, workers: Optional[int]) -> ExecutionBackend:
-    if isinstance(backend, ExecutionBackend):
-        if workers is not None and workers != backend.workers:
-            raise TypeError("pass workers inside the ExecutionBackend, "
-                            "not alongside it")
-        return backend
-    if backend is None:
-        ambient = get_backend()
-        if workers is None or workers == ambient.workers:
-            return ambient
-        if ambient.name == "serial":
-            return ambient if workers == 1 else ExecutionBackend("sharded", workers)
-        return ExecutionBackend(ambient.name, workers)
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {BACKEND_NAMES}")
-    if backend == "serial":
-        return SERIAL_BACKEND
-    return ExecutionBackend(backend, workers if workers and workers > 1 else 2)
-
-
 def build_filter(
     config=None,
     protected=None,
@@ -380,16 +225,14 @@ def build_filter(
     apd=None,
     fail_policy=None,
     *,
-    backend=None,
-    workers: Optional[int] = None,
+    backend: str = "serial",
     telemetry=None,
-    mp_context: Optional[str] = None,
     layers=None,
     snapshot=None,
     **config_fields,
 ):
-    """Build a filter stack: base filter on an execution backend, wrapped
-    by verification layers, optionally warm-started from a snapshot.
+    """Build a filter stack: a :class:`~repro.core.bitmap_filter.BitmapFilter`
+    wrapped by verification layers, optionally warm-started from a snapshot.
 
     Parameters
     ----------
@@ -397,9 +240,9 @@ def build_filter(
         A :class:`~repro.core.bitmap_filter.FilterConfig` (its
         ``fail_policy``, ``warmup_grace`` and ``layers`` are honored), a
         plain ``BitmapFilterConfig``, or None with bare ``**config_fields``.
-    backend, workers:
-        An :class:`ExecutionBackend`, a backend name (``workers`` sizes the
-        pool), or None for the ambient backend from :func:`use_backend`.
+    backend:
+        Accepted for existing callers; ``"serial"`` is its only value, since
+        every filter runs in the calling process.
     layers:
         Layer stack override — kind names, spec dicts, or spec objects.
         Defaults to ``config.layers`` when non-empty, else the ambient
@@ -411,7 +254,15 @@ def build_filter(
         is re-wrapped (explicit ``layers`` overrides), and any cuckoo
         verification table rides along.
     """
-    resolved = _resolve_backend(backend, workers)
+    if backend != "serial":
+        raise ValueError(f"unknown backend {backend!r}: filters run in the "
+                         "calling process, and \"serial\" is the only value")
+    from repro.core.bitmap_filter import BitmapFilter, FilterConfig
+
+    unknown = set(config_fields) - {f.name for f in fields(FilterConfig)}
+    if unknown:
+        raise TypeError(f"build_filter() got unknown argument(s) "
+                        f"{sorted(unknown)}")
 
     if snapshot is not None:
         if config is not None or protected is not None or config_fields:
@@ -420,27 +271,24 @@ def build_filter(
         if apd is not None:
             raise TypeError("snapshots never hold APD state; attach the "
                             "policy after restoring")
-        return _build_from_snapshot(
-            snapshot, resolved, fail_policy=fail_policy, telemetry=telemetry,
-            mp_context=mp_context, layers=layers)
+        return _build_from_snapshot(snapshot, fail_policy=fail_policy,
+                                    telemetry=telemetry, layers=layers)
 
     if layers is None:
         config_layers = getattr(config, "layers", ()) if config is not None else ()
         layers = config_layers or get_layers()
     layers = normalize_layers(layers)
 
-    builder = _require_backend_builder(resolved.name)
-    filt = builder(config, protected, workers=resolved.workers,
-                   start_time=start_time, apd=apd, fail_policy=fail_policy,
-                   telemetry=telemetry, mp_context=mp_context,
-                   config_fields=config_fields)
+    filt = BitmapFilter(config, protected, start_time=start_time, apd=apd,
+                        fail_policy=fail_policy, telemetry=telemetry,
+                        **config_fields)
     return _apply_layers(filt, layers, telemetry=telemetry)
 
 
-def _build_from_snapshot(snapshot, resolved: ExecutionBackend, *,
-                         fail_policy, telemetry, mp_context, layers):
+def _build_from_snapshot(snapshot, *, fail_policy, telemetry, layers):
     import numpy as np
 
+    from repro.core.bitmap_filter import BitmapFilter
     from repro.core.persistence import load_filter
 
     loaded = load_filter(snapshot)  # validates geometry + checksums
@@ -452,20 +300,17 @@ def _build_from_snapshot(snapshot, resolved: ExecutionBackend, *,
     if fail_policy is None:
         fail_policy = inner.fail_policy
 
-    vectors = np.stack([vec.as_numpy() for vec in inner.bitmap.vectors])
-    state = dict(
+    # A fresh shell under the caller's telemetry registry takes the state.
+    start_time = inner.next_rotation - inner.config.rotation_interval
+    filt = BitmapFilter(inner.config, inner.protected, start_time=start_time,
+                        fail_policy=fail_policy, telemetry=telemetry)
+    filt.apply_snapshot_state(
+        np.stack([vec.as_numpy() for vec in inner.bitmap.vectors]),
         current_index=inner.bitmap.current_index,
         bitmap_rotations=inner.bitmap.rotations,
         next_rotation=inner.next_rotation,
         stats=inner.stats.as_dict(),
     )
-    builder = _require_backend_builder(resolved.name)
-    start_time = inner.next_rotation - inner.config.rotation_interval
-    filt = builder(inner.config, inner.protected, workers=resolved.workers,
-                   start_time=start_time, apd=None, fail_policy=fail_policy,
-                   telemetry=telemetry, mp_context=mp_context,
-                   config_fields={})
-    filt.apply_snapshot_state(vectors, **state)
     filt = _apply_layers(filt, layers, telemetry=telemetry)
     # Hand the restored verification table to the re-wrapped stack so warm
     # starts do not forget confirmed flows.

@@ -8,8 +8,7 @@ client.  A bitmap admit whose exact flow key is absent from the table is a
 false admit by construction and is denied, driving the false-admit rate on
 the verified subset to ~0.
 
-Semantics (chosen so the differential suite's serial-vs-parallel equivalence
-holds verbatim):
+Semantics (chosen so verification is identical on every batch path):
 
 - **Outgoing, filter up, in scope** → the flow key is inserted/refreshed in
   the table, *regardless* of APD mark suppression — the table tracks truth,
@@ -23,13 +22,12 @@ holds verbatim):
   come from its fail policy untouched, and nothing is inserted (the table
   must not learn from traffic the bitmap never saw).
 
-The wrapper composes over *any* inner filter — serial
-:class:`~repro.core.bitmap_filter.BitmapFilter`, sharded or shared-memory
-parallel — and delegates the whole degraded-mode/snapshot control surface,
-which is how the differential and fault suites sweep it with zero copied
-tests.  Verification itself is deterministic and identical across scalar,
-exact-batch and windowed-batch paths: batch lookups replay packet order, and
-lookups never mutate the table.
+The wrapper composes over a
+:class:`~repro.core.bitmap_filter.BitmapFilter` and delegates the whole
+degraded-mode/snapshot control surface, so the fault injectors drive it
+unchanged.  Verification itself is deterministic and identical across
+scalar, exact-batch and windowed-batch paths: batch lookups replay packet
+order, and lookups never mutate the table.
 
 Telemetry: ``repro_hybrid_confirmed_total`` / ``repro_hybrid_denied_total`` /
 ``repro_hybrid_inserts_total`` / ``repro_hybrid_resizes_total`` counters plus
@@ -196,7 +194,7 @@ class HybridVerifiedFilter(PacketFilterMixin):
 
     @property
     def inner(self):
-        """The wrapped pre-filter (serial or parallel bitmap filter)."""
+        """The wrapped bitmap pre-filter."""
         return self._inner
 
     @property
@@ -514,9 +512,9 @@ class HybridVerifiedFilter(PacketFilterMixin):
     def stats(self):
         """Inner stats with denials moved from passed to dropped.
 
-        Always an adjusted copy: parallel inner filters reconstruct their
-        stats from worker merges on every access, so in-place mutation would
-        be silently lost — the copy keeps serial and parallel symmetric.
+        An adjusted copy whenever there are denials: the inner filter keeps
+        counting into its own stats, so the adjustment is never written
+        back into them.
         """
         base = self._inner.stats
         if not self.denied:
@@ -619,17 +617,6 @@ class HybridVerifiedFilter(PacketFilterMixin):
             # lifetime from roughly now.
             lo, hi = pack_flow(proto, local_addr, local_port, remote_addr)
             self.table.insert(lo, hi, self._inner.next_rotation)
-
-    def close(self) -> None:
-        close = getattr(self._inner, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "HybridVerifiedFilter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __getattr__(self, name: str):
         if name.startswith("_"):

@@ -88,9 +88,7 @@ def save_filter(filt: Union[BitmapFilter, HybridVerifiedFilter],
         "vectors_sha256": _vector_digest(vectors),
     }
     if isinstance(filt, HybridVerifiedFilter):
-        # A hybrid over a *parallel* inner works too: the parallel filters
-        # reconstruct the serial view (vectors, stats, schedule) on demand,
-        # and the cuckoo table lives in the wrapper itself.
+        # The cuckoo table lives in the wrapper, not in the inner filter.
         cuckoo_arrays, cuckoo_meta = filt.table.export_state()
         extra_arrays.update(cuckoo_arrays)
         meta["layers"] = [spec.as_dict() for spec in filt.layers]

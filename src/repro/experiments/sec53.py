@@ -93,8 +93,8 @@ def _run_apd_phases(
     mixed = trace.merged_with(Trace(flood, trace.protected, {"duration": trace.duration}))
 
     apd = policy_factory()
-    # APD needs global arrival order: build_filter falls back to a serial filter
-    # even under backend="sharded" (see repro.parallel.backend).
+    # APD decisions follow global arrival order, so packets go through the
+    # scalar process() path one at a time (the batch paths refuse APD).
     filt = build_filter(scale.bitmap_config(), trace.protected, apd=apd)
 
     phases = {
@@ -182,8 +182,8 @@ def _ablation_penetration(
         seed=scale.seed,
         signal_policy=signal_policy,
     )
-    # APD needs global arrival order: build_filter falls back to a serial filter
-    # even under backend="sharded" (see repro.parallel.backend).
+    # APD decisions follow global arrival order, so packets go through the
+    # scalar process() path one at a time (the batch paths refuse APD).
     filt = build_filter(scale.bitmap_config(), trace.protected, apd=apd)
     passed = np.zeros(len(scan), dtype=bool)
     for i, pkt in enumerate(scan):

@@ -174,7 +174,7 @@ class CrashRestart(FaultInjector):
             # hybrid) but none of the state — bitmap and flow table restart
             # empty behind the warm-up grace window.
             cold = build_filter(filt.config, filt.protected, start_time=now,
-                                fail_policy=filt.fail_policy, backend="serial",
+                                fail_policy=filt.fail_policy,
                                 layers=getattr(filt, "layers", ()))
             if grace > 0:
                 cold.begin_warmup(now + grace)
@@ -207,9 +207,8 @@ class BitFlips(FaultInjector):
     def events(self) -> List[FaultEvent]:
         def flip(filt: BitmapFilter, now: float) -> None:
             # Going through the filter's own fault surface (instead of
-            # XORing filt.bitmap directly) keeps the injector working
-            # against the sharded proxy, which broadcasts the flip so
-            # every worker replica corrupts identically.
+            # XORing filt.bitmap directly) keeps the injector working on
+            # wrapped stacks such as the hybrid verification tier.
             self.flipped = filt.flip_bits(self.fraction, self.seed)
 
         return [FaultEvent(self.at, self.name, flip)]

@@ -30,14 +30,13 @@ with failure handling as the headline:
   scale-out** (pre-warm the arrival from the store before routing
   flips).
 
-The equivalence story mirrors the sharded backend's: against a healthy
-fleet in packet-clock mode, fleet verdicts match a single-filter offline
-replay (``repro replay-to --fleet --verify``) — *including through a
-live rolling reconfig*, because every node rebuilds at the same shared
-boundary the offline twin uses
-(``tests/differential/test_fleet_equivalence.py``); under an injected
-node failure, divergence is confined to the dead node's flows and
-matches the configured fail policy (``tests/fleet/``,
+The equivalence story: against a healthy fleet in packet-clock mode,
+fleet verdicts match a single-filter offline replay (``repro replay-to
+--fleet --verify``) — *including through a live rolling reconfig*,
+because every node rebuilds at the same shared boundary the offline twin
+uses (``tests/differential/test_fleet_equivalence.py``); under an
+injected node failure, divergence is confined to the dead node's flows
+and matches the configured fail policy (``tests/fleet/``,
 ``benchmarks/test_fleet_failover.py``).
 """
 

@@ -141,16 +141,12 @@ class FleetManager:
                  rotation_interval: float = 5.0,
                  hash_seed: int = 0x5EED,
                  filter_kind: str = "bitmap",
-                 workers: int = 0,
-                 backend: Optional[str] = None,
                  ready_timeout: float = 30.0,
                  python: Optional[str] = None,
                  store: Optional[SnapshotStore] = None,
                  restore: Optional[Path] = None):
         if size < 1:
             raise ValueError("fleet size must be at least 1")
-        if backend not in (None, "serial", "sharded", "shared"):
-            raise ValueError(f"unknown backend {backend!r}")
         if filter_kind not in ("bitmap", "hybrid"):
             raise ValueError(f"unknown filter kind {filter_kind!r}")
         self.protected = protected
@@ -164,8 +160,6 @@ class FleetManager:
         self.rotation_interval = rotation_interval
         self.hash_seed = hash_seed
         self.filter_kind = filter_kind
-        self.workers = workers
-        self.backend = backend
         self.ready_timeout = ready_timeout
         self.python = python if python is not None else sys.executable
         self.store = (store if store is not None
@@ -221,10 +215,6 @@ class FleetManager:
             "--reload-config", str(self.reload_path(name)),
             *self.filter_args,
         ]
-        if self.workers > 1:
-            command += ["--workers", str(self.workers)]
-        if self.backend is not None:
-            command += ["--backend", self.backend]
         if restore_path is not None:
             command += ["--restore", str(restore_path)]
         process = subprocess.Popen(

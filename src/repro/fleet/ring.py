@@ -1,11 +1,10 @@
 """Consistent-hash ring: flows to nodes, with minimal remap on churn.
 
 The fleet partitions bitmap state by the flow's ``local_addr`` (the
-protected-side address — the same key the sharded backend partitions
-lookups by).  A modulo partition would remap almost every flow when the
-fleet grows or shrinks by one node; a consistent-hash ring remaps *only*
-the departed (or arriving) node's share, which is what makes warm
-handoff and rolling reconfig tractable.
+protected-side address).  A modulo partition would remap almost every
+flow when the fleet grows or shrinks by one node; a consistent-hash ring
+remaps *only* the departed (or arriving) node's share, which is what
+makes warm handoff and rolling reconfig tractable.
 
 Each node is placed on a 64-bit circle at ``replicas`` pseudo-random
 points (its *virtual nodes*, hashed from the node name — no coordination

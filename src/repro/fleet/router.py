@@ -1,13 +1,12 @@
 """The fleet front end: consistent-hash routing with health-checked failover.
 
 :class:`FleetRouter` makes N filter daemons look like one filter.  Each
-packet's ``local_addr`` (the protected-side address — the key the
-sharded backend partitions by) is consistent-hashed onto a daemon node,
-so every flow's bitmap state lives on exactly one node.  A batch is
-split by owner, each owned segment streams to its node over a retrying
-:class:`~repro.serve.client.FilterClient` (all nodes driven
-concurrently), and the verdict mask is scattered back into the caller's
-packet order.
+packet's ``local_addr`` (the protected-side address) is consistent-hashed
+onto a daemon node, so every flow's bitmap state lives on exactly one
+node.  A batch is split by owner, each owned segment streams to its node
+over a retrying :class:`~repro.serve.client.FilterClient` (all nodes
+driven concurrently), and the verdict mask is scattered back into the
+caller's packet order.
 
 Failure handling is the point:
 

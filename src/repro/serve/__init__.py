@@ -33,12 +33,7 @@ from repro.serve.retry import (
     call_with_retry,
 )
 from repro.serve.scheduler import RotationScheduler
-from repro.serve.state import (
-    materialize_serial,
-    restore_serve_filter,
-    snapshot_to_bytes,
-    write_snapshot,
-)
+from repro.serve.state import snapshot_to_bytes, write_snapshot
 
 __all__ = [
     "AsyncFilterClient",
@@ -63,8 +58,6 @@ __all__ = [
     "encode_frame",
     "encode_packets",
     "encode_verdicts",
-    "materialize_serial",
-    "restore_serve_filter",
     "snapshot_to_bytes",
     "write_snapshot",
 ]

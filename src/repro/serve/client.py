@@ -15,7 +15,7 @@ request/response-in-order, matching the daemon's ordered delivery:
 - :meth:`~FilterClient.ping` — opaque-token echo that doubles as a
   barrier (its pong arrives only after all earlier verdicts).
 - :meth:`~FilterClient.config` — the daemon's self-description (filter
-  geometry, protected networks, clock mode, backend) as a dict.
+  geometry, protected networks, clock mode, batch mode) as a dict.
 - :meth:`~FilterClient.goodbye` — orderly close.
 
 Failure semantics are typed (:mod:`repro.serve.errors`): a server

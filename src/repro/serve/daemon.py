@@ -1,11 +1,8 @@
 """The online filtering daemon: packets stream in, verdicts stream out.
 
-:class:`FilterDaemon` wraps one logical packet filter — a serial
-:class:`~repro.core.bitmap_filter.BitmapFilter`, a replicated
-:class:`~repro.parallel.sharded.ShardedBitmapFilter`, or a shared-memory
-:class:`~repro.parallel.shared.SharedBitmapFilter`, selected by
-``ServeConfig.backend`` (``"auto"`` keeps the historical rule: ``workers
-> 1`` means sharded) — behind the framing protocol of
+:class:`FilterDaemon` wraps one packet filter — a
+:class:`~repro.core.bitmap_filter.BitmapFilter`, optionally under the
+hybrid verification layer — behind the framing protocol of
 :mod:`repro.serve.protocol` on a TCP and/or Unix-domain listener, plus an
 embedded HTTP endpoint (:mod:`repro.serve.http`) for ``/metrics``,
 ``/healthz``, and ``/snapshot``.
@@ -47,8 +44,8 @@ frames are processed, verdicts flush, a final snapshot is written when
 (or :meth:`apply_config`) hot-reloads the filter configuration: fail
 policy swaps immediately; geometry changes (k, n, m, Δt, seed) rebuild
 the filter at the next rotation boundary with a warm-up grace window
-covering the lost marks.  ``restore_path`` warm-starts either backend
-from a checksummed snapshot-v2 file.
+covering the lost marks.  ``restore_path`` warm-starts the filter from a
+checksummed snapshot-v2 file.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.bitmap_filter import BitmapFilter, FilterConfig
-from repro.core.filter_api import BACKEND_NAMES, build_filter
+from repro.core.filter_api import build_filter
 from repro.core.resilience import FailPolicy
 from repro.net.address import AddressSpace
 from repro.net.packet import DIRECTION_INCOMING, PacketArray
@@ -100,8 +97,6 @@ class ServeConfig:
     http_host: str = "127.0.0.1"
     http_port: int = 0
     http: bool = True
-    workers: int = 0                 # worker processes for parallel backends
-    backend: str = "auto"            # "auto" | "serial" | "sharded" | "shared"
     clock: str = "packet"            # "packet" replay | "wall" live
     exact: bool = True               # batch mode fed to process_batch
     backpressure: str = "block"      # "block" | "shed"
@@ -111,14 +106,8 @@ class ServeConfig:
     snapshot_path: Optional[str] = None   # final snapshot target (SIGTERM)
     restore_path: Optional[str] = None    # warm-start source
     reload_path: Optional[str] = None     # SIGHUP re-reads this JSON file
-    mp_context: Optional[str] = None      # sharded fork/spawn override
 
     def __post_init__(self) -> None:
-        if self.backend not in ("auto",) + BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be \"auto\" or one of {BACKEND_NAMES}")
-        if self.backend == "serial" and self.workers > 1:
-            raise ValueError("the serial backend has exactly one worker")
         if self.clock not in CLOCK_MODES:
             raise ValueError(f"clock must be one of {CLOCK_MODES}")
         if self.backpressure not in BACKPRESSURE_MODES:
@@ -128,22 +117,6 @@ class ServeConfig:
             raise ValueError("queue_frames must be at least 1")
         if self.batch_max_packets < 1:
             raise ValueError("batch_max_packets must be at least 1")
-
-    @property
-    def resolved_backend(self) -> str:
-        """The concrete backend ``"auto"`` resolves to (``workers > 1``
-        keeps meaning sharded, as it did before ``backend`` existed)."""
-        if self.backend != "auto":
-            return self.backend
-        return "sharded" if self.workers > 1 else "serial"
-
-    @property
-    def resolved_workers(self) -> int:
-        """Worker count for the resolved backend (parallel backends get at
-        least two workers when ``workers`` was left at the default)."""
-        if self.resolved_backend == "serial":
-            return 1
-        return self.workers if self.workers > 1 else 2
 
 
 class _Connection:
@@ -267,28 +240,15 @@ class FilterDaemon:
     # -- construction ---------------------------------------------------------
 
     def _build_filter(self, cfg: FilterConfig, start_time: float):
-        # One construction path for every backend and layer stack: the
-        # config's layers (e.g. the hybrid verification tier) are wrapped
-        # by the factory itself.
-        return build_filter(
-            cfg,
-            self.config.protected,
-            start_time=start_time,
-            backend=self.config.resolved_backend,
-            workers=self.config.resolved_workers,
-            telemetry=self.registry,
-            mp_context=self.config.mp_context,
-        )
+        # The config's layers (e.g. the hybrid verification tier) are
+        # wrapped by the factory itself.
+        return build_filter(cfg, self.config.protected, start_time=start_time,
+                            telemetry=self.registry)
 
     def _init_filter(self) -> None:
         if self.config.restore_path:
-            self._filt = build_filter(
-                snapshot=self.config.restore_path,
-                backend=self.config.resolved_backend,
-                workers=self.config.resolved_workers,
-                telemetry=self.registry,
-                mp_context=self.config.mp_context,
-            )
+            self._filt = build_filter(snapshot=self.config.restore_path,
+                                      telemetry=self.registry)
             self._filter_config = FilterConfig.from_bitmap_config(
                 self._filt.config, fail_policy=self._filt.fail_policy,
                 layers=getattr(self._filt, "layers", ()))
@@ -303,10 +263,6 @@ class FilterDaemon:
     def filter(self):
         """The live filter instance (swapped by rebuilds — don't cache)."""
         return self._filt
-
-    @property
-    def backend(self) -> str:
-        return self.config.resolved_backend
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -403,15 +359,13 @@ class FilterDaemon:
         if self._scheduler is not None:
             self._scheduler.stop()
             await self._scheduler.join()
-        # 5. Final snapshot, then release the backend.
+        # 5. Final snapshot, then close the HTTP endpoint.
         if self.config.snapshot_path:
             write_snapshot(self._filt, self.config.snapshot_path)
             self._m.snapshots_total.inc()
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
-        if hasattr(self._filt, "close"):
-            self._filt.close()
         if self.config.unix_path:
             try:
                 Path(self.config.unix_path).unlink()
@@ -704,7 +658,6 @@ class FilterDaemon:
         boundary = max(target, last_crossed) if target != float("inf") \
             else last_crossed
         old_grace = self._filt.config.expiry_timer
-        old = self._filt
         self._filt = self._build_filter(new_config, boundary)
         # Marks in the old geometry are unreadable by the new one; open a
         # warm-up grace window as a restart would, so established flows'
@@ -714,8 +667,6 @@ class FilterDaemon:
         self._m.reloads["rebuild"].inc()
         if self._scheduler is not None:
             self._scheduler._filt = self._filt
-        if hasattr(old, "close"):
-            old.close()
 
     # -- introspection --------------------------------------------------------
 
@@ -735,8 +686,6 @@ class FilterDaemon:
             "protected": [str(net) for net in self.config.protected.networks],
             "clock": self.config.clock,
             "exact": self.config.exact,
-            "backend": self.backend,
-            "workers": self.config.resolved_workers,
             "backpressure": self.config.backpressure,
         }
 

@@ -26,7 +26,7 @@ Server -> client frames:
   (``0x01`` pass, ``0x00`` drop).
 - ``FT_PONG`` / ``FT_CONFIG`` / ``FT_BYE`` — responses as above;
   ``FT_CONFIG`` carries a UTF-8 JSON object (filter geometry, protected
-  networks, clock mode, backend) so a client can build the offline twin
+  networks, clock mode, batch mode) so a client can build the offline twin
   of the daemon's filter.
 - ``FT_ERROR`` — UTF-8 diagnostic; the daemon closes the connection after
   sending it.

@@ -48,7 +48,7 @@ class RotationScheduler:
     """Drive a filter's rotations from wall-clock time on an event loop.
 
     ``filt`` is any object with ``next_rotation`` and ``advance_to``
-    (serial and sharded filters both qualify).  ``epoch`` is the wall
+    (bare and hybrid filters both qualify).  ``epoch`` is the wall
     instant (in ``clock()`` units) corresponding to filter time zero; the
     daemon sets it at startup so live packets and rotations share one
     time domain.  ``clock`` defaults to :func:`time.monotonic` and is

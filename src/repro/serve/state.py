@@ -1,113 +1,39 @@
-"""Snapshot plumbing between the daemon and both filter backends.
+"""Snapshot plumbing for the daemon.
 
 The checkpoint format is the checksummed snapshot v2 of
-:mod:`repro.core.persistence`; these helpers adapt it to the three shapes a
-daemon runs: a serial :class:`~repro.core.bitmap_filter.BitmapFilter`, a
-:class:`~repro.parallel.sharded.ShardedBitmapFilter` whose state lives in
-worker replicas, and a :class:`~repro.parallel.shared.SharedBitmapFilter`
-whose state lives in one shared-memory segment (being a ``BitmapFilter``
-subclass with live local state, it snapshots directly).
+:mod:`repro.core.persistence`; warm starts go through
+``build_filter(snapshot=path)``.
 
-- :func:`materialize_serial` — a serial filter holding a *copy* of any
-  filter's current state (for a sharded filter: worker 0's replica plus
-  the ownership-merged counters; a shared filter already presents serial
-  state and is returned as-is).
 - :func:`snapshot_to_bytes` / :func:`write_snapshot` — serve a live
   filter's checkpoint over HTTP or persist the SIGTERM final snapshot.
-- :func:`restore_serve_filter` — warm-start either backend from a
-  snapshot file, loading the bit vectors into every replica.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Optional, Union
-
-import numpy as np
+from typing import Union
 
 from repro.core.bitmap_filter import BitmapFilter
-from repro.core.filter_api import build_filter, deprecated_alias
 from repro.core.hybrid import HybridVerifiedFilter
 from repro.core.persistence import save_filter
-from repro.telemetry.registry import MetricsRegistry
 
 __all__ = [
-    "materialize_serial",
-    "restore_serve_filter",
     "snapshot_to_bytes",
     "write_snapshot",
 ]
 
-AnyBackendFilter = Union[BitmapFilter, "ShardedBitmapFilter"]  # noqa: F821
 
-
-def materialize_serial(filt: AnyBackendFilter) -> BitmapFilter:
-    """A serial filter carrying a copy of ``filt``'s complete state.
-
-    A serial filter is returned as-is (no copy).  For a sharded filter the
-    replicated bitmap (worker 0's, identical to every replica), the
-    rotation schedule, and the merged counters are copied into a fresh
-    serial shell — the canonical single-process view that snapshots
-    persist.  A hybrid stack materializes its inner filter and re-wraps it
-    with a copy of the verification table.
-    """
-    if isinstance(filt, HybridVerifiedFilter):
-        inner = materialize_serial(filt.inner)
-        if inner is filt.inner:
-            return filt
-        clone = HybridVerifiedFilter(inner, filt.spec, table=filt.table.copy())
-        clone.confirmed = filt.confirmed
-        clone.denied = filt.denied
-        return clone
-    if isinstance(filt, BitmapFilter):
-        return filt
-    serial = BitmapFilter(filt.config, filt.protected,
-                          fail_policy=filt.fail_policy)
-    bitmap = filt.bitmap  # synced copy of the replicated state
-    vectors = np.stack([vec.as_numpy() for vec in bitmap.vectors])
-    serial.apply_snapshot_state(
-        vectors,
-        current_index=bitmap.current_index,
-        bitmap_rotations=bitmap.rotations,
-        next_rotation=filt.next_rotation,
-        stats=filt.stats.as_dict(),
-    )
-    return serial
-
-
-def snapshot_to_bytes(filt: AnyBackendFilter) -> bytes:
+def snapshot_to_bytes(filt: Union[BitmapFilter, HybridVerifiedFilter]) -> bytes:
     """The snapshot-v2 archive of ``filt``'s current state, in memory."""
     buffer = io.BytesIO()
-    save_filter(materialize_serial(filt), buffer)
+    save_filter(filt, buffer)
     return buffer.getvalue()
 
 
-def write_snapshot(filt: AnyBackendFilter, path: Union[str, Path]) -> Path:
+def write_snapshot(filt: Union[BitmapFilter, HybridVerifiedFilter],
+                   path: Union[str, Path]) -> Path:
     """Persist ``filt``'s current state as a snapshot-v2 file."""
     path = Path(path)
     path.write_bytes(snapshot_to_bytes(filt))
     return path
-
-
-def restore_serve_filter(
-    path: Union[str, Path],
-    *,
-    backend: Optional[str] = None,
-    workers: int = 0,
-    telemetry: Optional[MetricsRegistry] = None,
-    mp_context: Optional[str] = None,
-):
-    """Deprecated alias for ``build_filter(snapshot=path, ...)``.
-
-    Keeps the historical default: ``backend=None`` means ``workers > 1`` ⇒
-    sharded, else serial.  Restoring performs no rotation catch-up by
-    itself: the daemon's clock source decides what "now" is.
-    """
-    deprecated_alias("repro.serve.state.restore_serve_filter",
-                     "repro.core.filter_api.build_filter(snapshot=...)",
-                     note="the unified filter-construction API")
-    if backend is None:
-        backend = "sharded" if workers and workers > 1 else "serial"
-    return build_filter(snapshot=path, backend=backend, workers=workers,
-                        telemetry=telemetry, mp_context=mp_context)

@@ -51,21 +51,11 @@ class SimulationEngine:
     """
 
     def __init__(self, start_time: float = 0.0,
-                 reorder_tolerance: Optional[float] = None,
-                 backend: str = "serial",
-                 workers: Optional[int] = None):
+                 reorder_tolerance: Optional[float] = None):
         if reorder_tolerance is not None and reorder_tolerance < 0:
             raise ValueError("reorder tolerance must be non-negative")
-        if backend not in ("serial", "sharded", "shared"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if workers is not None and backend == "serial":
-            raise ValueError('workers= requires a parallel backend '
-                             '("sharded" or "shared")')
         self.now = start_time
         self.reorder_tolerance = reorder_tolerance
-        self.backend = backend
-        self.workers = (workers or 2) if backend != "serial" else 1
-        self._shard_pools: dict = {}
         self._timers: List[TimerEvent] = []
         self._seq = itertools.count()
         self._packet_handlers: List[PacketHandler] = []
@@ -169,28 +159,6 @@ class SimulationEngine:
 
     # -- batch filter co-simulation -------------------------------------------
 
-    def _backend_filter(self, filt):
-        """The filter this engine actually drives: under a parallel backend
-        a pristine bitmap filter is wrapped in a worker pool once and reused
-        for every subsequent call with the same instance."""
-        if self.backend == "serial":
-            return filt
-        from repro.parallel import (
-            SharedBitmapFilter,
-            ShardedBitmapFilter,
-            shard_filter,
-            share_filter,
-        )
-
-        if isinstance(filt, (ShardedBitmapFilter, SharedBitmapFilter)):
-            return filt
-        pool = self._shard_pools.get(id(filt))
-        if pool is None:
-            wrap = share_filter if self.backend == "shared" else shard_filter
-            pool = wrap(filt, self.workers)
-            self._shard_pools[id(filt)] = pool
-        return pool
-
     def run_filter(self, filt, packets: PacketArray,
                    exact: bool = True,
                    until: Optional[float] = None) -> "np.ndarray":
@@ -201,12 +169,10 @@ class SimulationEngine:
         scheduled at ``t`` observes exactly the filter state a scalar
         :meth:`run` loop would give it: all packets with ``ts < t``
         processed, none at or after (ties: timer wins, as in :meth:`run`).
-        Under ``backend="sharded"`` the batches run on the worker pool;
-        verdicts are identical either way.  Returns the boolean PASS mask.
+        Returns the boolean PASS mask.
         """
         import numpy as np
 
-        filt = self._backend_filter(filt)
         ts = packets.ts
         n = len(packets)
         verdicts = np.ones(n, dtype=bool)
@@ -243,12 +209,6 @@ class SimulationEngine:
         while self._timers and self._timers[0].cancelled:
             heapq.heappop(self._timers)
         return self._timers[0].ts if self._timers else None
-
-    def close_shard_pools(self) -> None:
-        """Tear down any worker pools :meth:`run_filter` spun up."""
-        for pool in self._shard_pools.values():
-            pool.close()
-        self._shard_pools.clear()
 
     def _fire_timers(self, horizon: float) -> None:
         fired = 0

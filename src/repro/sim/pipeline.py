@@ -25,16 +25,11 @@ from repro.telemetry.profiling import Timer
 from repro.telemetry.registry import get_registry
 from repro.traffic.trace import Trace
 
-AnyFilter = PacketFilter
-
 
 def run_filter_on_trace(
     filt: PacketFilter,
     trace: Trace,
     exact: bool = True,
-    *,
-    backend: "str | None" = None,
-    workers: "int | None" = None,
 ) -> FilterRunResult:
     """Run ``filt`` over ``trace`` (time-sorted) and score the verdicts.
 
@@ -43,59 +38,11 @@ def run_filter_on_trace(
     ``process`` with ``True`` and the windowed approximation with
     ``False`` (see ``BitmapFilter.process_batch_windowed`` for its
     bound).  Filters without an approximate path ignore the flag.
-
-    ``backend="sharded"`` runs a pristine bitmap filter across ``workers``
-    processes via :func:`repro.parallel.shard_filter`; ``backend="shared"``
-    wraps it over one shared-memory bitmap via
-    :func:`repro.parallel.share_filter` — results are bit-for-bit identical
-    to the serial run either way (see docs/parallel.md); the temporary
-    worker pool is torn down before returning.  Most callers should not
-    pass these and instead rely on the ambient backend
-    (:func:`repro.core.filter_api.build_filter`), which the CLI's ``--backend``/
-    ``--workers`` flags install.
     """
     if not isinstance(filt, PacketFilter):
         raise TypeError(
             f"unsupported filter type {type(filt).__name__}: does not "
             "implement the PacketFilter protocol")
-    if backend not in (None, "serial", "sharded", "shared"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if workers is not None and backend in (None, "serial"):
-        raise ValueError('workers= requires a parallel backend '
-                         '("sharded" or "shared")')
-    owned_pool = None
-    if backend in ("sharded", "shared"):
-        from repro.core.hybrid import HybridVerifiedFilter
-        from repro.parallel import (
-            SharedBitmapFilter,
-            ShardedBitmapFilter,
-            shard_filter,
-            share_filter,
-        )
-
-        wrap = share_filter if backend == "shared" else shard_filter
-        if isinstance(filt, HybridVerifiedFilter):
-            # Parallelize the bitmap tier underneath the verification
-            # wrapper; the cuckoo table stays wrapper-local either way.
-            if not isinstance(filt.inner,
-                              (ShardedBitmapFilter, SharedBitmapFilter)):
-                inner = wrap(filt.inner, workers or 2)
-                filt = owned_pool = HybridVerifiedFilter(
-                    inner, filt.spec, table=filt.table)
-        elif not isinstance(filt, (ShardedBitmapFilter, SharedBitmapFilter)):
-            filt = owned_pool = wrap(filt, workers or 2)
-    try:
-        return _run_scored(filt, trace, exact)
-    finally:
-        if owned_pool is not None:
-            owned_pool.close()
-
-
-def _run_scored(
-    filt: PacketFilter,
-    trace: Trace,
-    exact: bool,
-) -> FilterRunResult:
     packets = trace.packets
     with Timer("classify"):
         directions = packets.directions(trace.protected)
@@ -176,7 +123,7 @@ def run_filter_with_reconfig(
     from repro.core.filter_api import build_filter
 
     packets = trace.packets
-    old = build_filter(config, trace.protected, backend="serial")
+    old = build_filter(config, trace.protected)
     ts = np.asarray(packets.ts, dtype=np.float64)
     split = int(np.searchsorted(ts, float(rebuild_at), side="left"))
     if split >= len(packets):  # boundary never crossed: no rebuild happens
@@ -190,7 +137,7 @@ def run_filter_with_reconfig(
     last_crossed = old.next_rotation - old.config.rotation_interval
     boundary = max(float(rebuild_at), last_crossed)
     new = build_filter(new_config, trace.protected,
-                       start_time=boundary, backend="serial")
+                       start_time=boundary)
     new.begin_warmup(boundary + old.config.expiry_timer)
     tail = np.asarray(new.process_batch(packets[split:], exact=exact),
                       dtype=bool)

@@ -1,24 +1,15 @@
-"""Serialize and merge registries across process boundaries.
+"""Merge scraped metrics pages into one registry.
 
-The sharded execution backend (:mod:`repro.parallel`) runs one
-:class:`~repro.telemetry.registry.MetricsRegistry` per worker process.
-Workers cannot tick the parent's samplers, so instead each batch response
-carries a *cumulative dump* of the worker registry (:func:`dump_metrics`,
-plain tuples — picklable, no registry objects cross the pipe) and the
-parent folds the delta since the previous dump into its own registry under
-an extra ``shard`` label (:func:`apply_dump`).
-
-Counters merge by increment, gauges by last-write, histograms by per-bucket
-delta (see :meth:`~repro.telemetry.registry.Histogram.merge_counts`), so a
-parent registry scraped mid-run is always consistent: cumulative counts,
-current gauge values, additive distributions.
-
-The same machinery aggregates a *fleet*: :func:`rows_from_prometheus`
-reconstructs dump rows from a scraped ``/metrics`` text page (the inverse
-of :func:`~repro.telemetry.exporters.to_prometheus`), and
+:func:`rows_from_prometheus` reconstructs metric rows from a scraped
+``/metrics`` text page (the inverse of
+:func:`~repro.telemetry.exporters.to_prometheus`), :func:`apply_dump`
+folds rows into a registry under optional extra labels, and
 :func:`aggregate_fleet` folds every node's page into one registry — each
 instrument twice, once summed fleet-wide and once under a ``node`` label
 for the per-node breakdown (``repro fleet-stats``).
+
+Counters merge by increment, gauges by last-write, histograms by per-bucket
+addition (see :meth:`~repro.telemetry.registry.Histogram.merge_counts`).
 """
 
 from __future__ import annotations
@@ -26,74 +17,33 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.telemetry.registry import MetricsRegistry
 
-#: One dumped instrument: (kind, name, labels, help, payload...).
+#: One instrument: (kind, name, labels, help, payload...).
 MetricRow = tuple
-
-#: Dump index key: (kind, name, labels).
-RowKey = Tuple[str, str, tuple]
-
-
-def dump_metrics(registry: MetricsRegistry) -> List[MetricRow]:
-    """Flatten every instrument into picklable tuples (cumulative values)."""
-    rows: List[MetricRow] = []
-    for metric in registry.metrics():
-        if isinstance(metric, Histogram):
-            rows.append(("histogram", metric.name, metric.labels, metric.help,
-                         tuple(metric.bounds), tuple(metric.bucket_counts),
-                         metric.sum, metric.count))
-        elif isinstance(metric, Counter):
-            rows.append(("counter", metric.name, metric.labels, metric.help,
-                         metric.value))
-        elif isinstance(metric, Gauge):
-            rows.append(("gauge", metric.name, metric.labels, metric.help,
-                         metric.value))
-    return rows
-
-
-def _index(rows: Optional[List[MetricRow]]) -> Dict[RowKey, MetricRow]:
-    if not rows:
-        return {}
-    return {(row[0], row[1], row[2]): row for row in rows}
 
 
 def apply_dump(
     registry: MetricsRegistry,
     rows: List[MetricRow],
-    previous: Optional[List[MetricRow]] = None,
     **extra_labels,
 ) -> None:
-    """Fold a cumulative dump into ``registry`` as a delta since ``previous``.
+    """Fold metric rows into ``registry``.
 
-    ``extra_labels`` (e.g. ``shard="2"``) are added to every instrument so
-    dumps from different workers land on distinct series.  Passing the same
-    dump twice with the correct ``previous`` is a no-op — the merge is
-    idempotent over cumulative snapshots.
+    ``extra_labels`` (e.g. ``node="node0"``) are added to every instrument
+    so rows from different sources land on distinct series.
     """
-    prior = _index(previous)
     for row in rows:
         kind, name, labels, help_text = row[0], row[1], row[2], row[3]
         all_labels = dict(labels)
         all_labels.update(extra_labels)
-        before = prior.get((kind, name, labels))
         if kind == "counter":
-            delta = row[4] - (before[4] if before else 0)
-            if delta:
-                registry.counter(name, help_text, **all_labels).inc(delta)
+            if row[4]:
+                registry.counter(name, help_text, **all_labels).inc(row[4])
         elif kind == "gauge":
             registry.gauge(name, help_text, **all_labels).set(row[4])
         elif kind == "histogram":
             bounds, buckets, total, count = row[4], row[5], row[6], row[7]
-            if before is not None:
-                buckets = tuple(b - p for b, p in zip(buckets, before[5]))
-                total -= before[6]
-                count -= before[7]
             if count or any(buckets):
                 hist = registry.histogram(name, help_text, bounds=bounds,
                                           **all_labels)
@@ -101,7 +51,7 @@ def apply_dump(
 
 
 def rows_from_prometheus(text: str) -> List[MetricRow]:
-    """Reconstruct dump rows from a Prometheus text exposition page.
+    """Reconstruct metric rows from a Prometheus text exposition page.
 
     The inverse of :func:`~repro.telemetry.exporters.to_prometheus`, as
     far as the format allows: counters and gauges come back exactly;

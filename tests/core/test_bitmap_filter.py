@@ -174,6 +174,33 @@ class TestBatchPaths:
         with pytest.raises(NotImplementedError):
             filt.process_batch(PacketArray.empty())
 
+    def test_windowed_admits_reply_marked_later_in_window(self, protected):
+        """The windowed path's one divergence from exact: a reply arriving
+        just before its own outgoing mark in the same rotation window."""
+        packets = []
+        for flow in range(24):
+            client = protected.networks[flow % 2].host(30 + flow)
+            server = 0x0A000100 + flow
+            sport = 40_000 + flow
+            t0 = 0.3 + 0.9 * flow  # spreads flows across rotation windows
+            packets.append(Packet(t0, IPPROTO_TCP, server, 80, client, sport,
+                                  TcpFlags.ACK))          # reply before the mark
+            packets.append(Packet(t0 + 0.05, IPPROTO_TCP, client, sport,
+                                  server, 80, TcpFlags.ACK))  # the mark
+            packets.append(Packet(t0 + 0.10, IPPROTO_TCP, server, 80, client,
+                                  sport, TcpFlags.ACK))   # reply after the mark
+        batch = PacketArray.from_packets(packets)
+        config = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
+                                    rotation_interval=2.0)
+        exact = BitmapFilter(config, protected).process_batch(batch, exact=True)
+        windowed = BitmapFilter(config, protected).process_batch(batch,
+                                                                 exact=False)
+        early_replies = np.arange(0, len(batch), 3)
+        assert not exact[early_replies].any()
+        assert windowed[early_replies].all()
+        others = np.setdiff1d(np.arange(len(batch)), early_replies)
+        assert exact[others].all() and windowed[others].all()
+
     def test_batch_counts_directions(self, small_config, protected, client_addr, server_addr):
         batch = self._scenario(client_addr, server_addr)
         filt = BitmapFilter(small_config, protected)
@@ -181,6 +208,44 @@ class TestBatchPaths:
         assert filt.stats.outgoing == 2
         assert filt.stats.incoming == 3
         assert filt.stats.incoming_dropped == 2
+
+
+class TestAdaptiveDropping:
+    """APD on the scalar path, the only path that supports it."""
+
+    CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
+                                rotation_interval=2.0)
+
+    @pytest.fixture(scope="class")
+    def flood_trace(self):
+        """Benign client-network workload with a SYN flood on top."""
+        from repro.attacks.ddos import syn_flood
+        from repro.traffic.generator import ClientNetworkWorkload, WorkloadConfig
+        from repro.traffic.trace import Trace
+
+        base = ClientNetworkWorkload(
+            WorkloadConfig(duration=25.0, target_pps=250.0, seed=97)).generate()
+        victim = base.protected.networks[0].host(5)
+        flood = syn_flood(victim, 80, rate_pps=400.0, start=8.0, duration=6.0,
+                          seed=11)
+        return base.merged_with(Trace(flood, base.protected)).time_slice(0.0, 26.0)
+
+    def test_apd_verdicts_differ_from_plain_filter(self, flood_trace):
+        """Aggressive thresholds put the drop probability strictly inside
+        (0, 1) during the flood, so APD admits some packets the bitmap
+        alone drops."""
+        from repro.core.apd import AdaptiveDroppingPolicy, PacketRatioIndicator
+
+        plain = BitmapFilter(self.CONFIG, flood_trace.protected)
+        apd = BitmapFilter(
+            self.CONFIG, flood_trace.protected,
+            apd=AdaptiveDroppingPolicy(PacketRatioIndicator(low=0.5, high=2.0),
+                                       seed=0xD09))
+        plain_verdicts = [plain.process(pkt) for pkt in flood_trace.packets]
+        apd_verdicts = [apd.process(pkt) for pkt in flood_trace.packets]
+        assert plain_verdicts != apd_verdicts
+        assert apd.apd.stats.admitted > 0
+        assert apd.stats.apd_admitted == apd.apd.stats.admitted
 
 
 class TestHelpers:

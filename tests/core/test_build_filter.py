@@ -1,10 +1,10 @@
 """Unit tests for the composable filter-stack factory.
 
 :func:`repro.core.filter_api.build_filter` is the single construction
-path for every filter stack in the repository: execution backend below,
+path for every filter stack in the repository: a bitmap filter below,
 verification layers above, optional snapshot warm start.  These tests
 pin the resolution rules — explicit arguments beat config fields beat
-ambient context — and the deprecated-alias contract.
+ambient context — and the arguments the factory refuses.
 """
 
 import io
@@ -19,13 +19,10 @@ from repro.core.bitmap_filter import (
     FilterConfig,
 )
 from repro.core.filter_api import (
-    ExecutionBackend,
     build_filter,
-    get_backend,
     get_layers,
     layer_dicts,
     normalize_layers,
-    use_backend,
     use_layers,
 )
 from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
@@ -107,31 +104,23 @@ class TestLayerResolution:
 
 class TestBackendResolution:
     def test_serial_by_default(self, protected):
-        assert get_backend() == ExecutionBackend()
         filt = build_filter(CONFIG, protected)
         assert isinstance(filt, BitmapFilter)
 
-    def test_named_parallel_backend(self, protected):
-        from repro.parallel import ShardedBitmapFilter
-
-        with build_filter(CONFIG, protected, backend="sharded",
-                          workers=2) as filt:
-            assert isinstance(filt, ShardedBitmapFilter)
-
-    def test_ambient_backend_with_layers(self, protected):
-        from repro.parallel import SharedBitmapFilter
-
-        with use_backend(name="shared", workers=2):
-            filt = build_filter(CONFIG, protected, layers=("verify",))
-        try:
-            assert isinstance(filt, HybridVerifiedFilter)
-            assert isinstance(filt.inner, SharedBitmapFilter)
-        finally:
-            filt.close()
+    def test_serial_spelling_still_accepted(self, protected):
+        filt = build_filter(CONFIG, protected, backend="serial")
+        assert isinstance(filt, BitmapFilter)
 
     def test_unknown_backend_rejected(self, protected):
-        with pytest.raises(ValueError):
-            build_filter(CONFIG, protected, backend="quantum")
+        for name in ("sharded", "shared", "quantum"):
+            with pytest.raises(ValueError, match="serial"):
+                build_filter(CONFIG, protected, backend=name)
+
+    def test_workers_argument_rejected(self, protected):
+        with pytest.raises(TypeError, match="workers"):
+            build_filter(CONFIG, protected, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            build_filter(protected=protected, order=12, workers=2)
 
     def test_fail_policy_and_config_fields(self, protected):
         filt = build_filter(protected=protected, order=12,
@@ -140,6 +129,11 @@ class TestBackendResolution:
                             layers=("verify",))
         assert filt.fail_policy is FailPolicy.FAIL_OPEN
         assert filt.config.order == 12
+
+    def test_build_filter_does_not_warn(self, protected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            build_filter(CONFIG, protected)
 
 
 class TestSnapshotRestore:
@@ -178,35 +172,3 @@ class TestSnapshotRestore:
     def test_snapshot_rejects_conflicting_arguments(self, protected):
         with pytest.raises(TypeError, match="snapshot"):
             build_filter(CONFIG, protected, snapshot=io.BytesIO())
-
-
-class TestDeprecatedAliases:
-    def test_parallel_create_filter_warns_and_delegates(self, protected):
-        from repro.parallel import create_filter
-
-        with pytest.warns(DeprecationWarning, match="build_filter"):
-            filt = create_filter(CONFIG, protected)
-        assert isinstance(filt, BitmapFilter)
-
-    def test_create_filter_never_wraps_ambient_layers(self, protected):
-        """The legacy factory predates layers; code written against it
-        must keep getting bare filters even inside use_layers()."""
-        from repro.parallel import create_filter
-
-        with use_layers(("verify",)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                filt = create_filter(CONFIG, protected)
-        assert isinstance(filt, BitmapFilter)
-
-    def test_parallel_use_backend_warns(self):
-        from repro.parallel import use_backend as legacy_use_backend
-
-        with pytest.warns(DeprecationWarning, match="filter_api"):
-            with legacy_use_backend(name="serial"):
-                pass
-
-    def test_build_filter_does_not_warn(self, protected):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_filter(CONFIG, protected)

@@ -190,6 +190,26 @@ class TestHarness:
         assert result.filter is not original
         assert not result.filter.is_down
 
+    @pytest.mark.parametrize("snapshot_age", [None, 5.0],
+                             ids=["cold-restart", "warm-restart"])
+    def test_crash_restart_keeps_the_hybrid_stack(self, small_config,
+                                                  tiny_trace, snapshot_age):
+        """A restarted hybrid comes back as a hybrid, on both restart
+        paths, and keeps confirming admits against its table."""
+        from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
+
+        original = HybridVerifiedFilter(
+            BitmapFilter(small_config, tiny_trace.protected),
+            VerifySpec(initial_order=4))
+        crash = CrashRestart(crash_at=20.0, downtime=2.0,
+                             snapshot_age=snapshot_age)
+        result = run_with_faults(original, tiny_trace, [crash])
+        assert result.filters_swapped == 1
+        assert isinstance(result.filter, HybridVerifiedFilter)
+        assert result.filter is not original
+        assert result.filter.layers == original.layers
+        assert result.filter.confirmed > 0
+
     def test_stall_leaves_verdict_count_intact(self, small_config, tiny_trace):
         stall = RotationStall(at=20.0, duration=10.0)
         result = run_with_faults(

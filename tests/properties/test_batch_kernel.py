@@ -200,3 +200,43 @@ class TestExactKernelMatchesScalar:
         shuffled = PacketArray(packets.data[np.array(order, dtype=np.int64)])
         cuts = data.draw(cut_points(shuffled))
         _assert_equivalent(_run_both(config, shuffled, cuts))
+
+    @given(data=st.data(), config=configs(), packets=adversarial_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_then_batch_on_one_filter(self, data, config, packets):
+        """One filter fed a scalar prefix and then the rest as a batch
+        ends where the all-scalar filter ends."""
+        split = data.draw(st.integers(0, len(packets)))
+        scalar = BitmapFilter(config, PROTECTED)
+        mixed = BitmapFilter(config, PROTECTED)
+        expected = [scalar.process(pkt) is Decision.PASS for pkt in packets]
+        got = [mixed.process(pkt) is Decision.PASS for pkt in packets[:split]]
+        got += mixed.process_batch(packets[split:], exact=True).tolist()
+        assert got == expected
+        assert _state(mixed) == _state(scalar)
+
+
+class TestWindowedKernel:
+    @given(config=configs(),
+           packets=rotation_straddling_arrays(rotation_interval=INTERVAL))
+    @settings(max_examples=100, deadline=None)
+    def test_rotation_boundary_clusters(self, config, packets):
+        """Around rotation boundaries the windowed path marks exactly what
+        the exact path marks, rotates identically, and only ever admits
+        more."""
+        exact = BitmapFilter(config, PROTECTED)
+        windowed = BitmapFilter(config, PROTECTED)
+        exact_verdicts = exact.process_batch(packets, exact=True)
+        windowed_verdicts = windowed.process_batch(packets, exact=False)
+        assert bool(np.all(windowed_verdicts >= exact_verdicts))
+        exact_state, windowed_state = _state(exact), _state(windowed)
+        exact_stats = exact_state.pop("stats")
+        windowed_stats = windowed_state.pop("stats")
+        assert windowed_state == exact_state
+        extra = int(windowed_verdicts.sum() - exact_verdicts.sum())
+        assert windowed_stats["incoming_passed"] == (
+            exact_stats["incoming_passed"] + extra)
+        for name in ("incoming_passed", "incoming_dropped"):
+            exact_stats.pop(name)
+            windowed_stats.pop(name)
+        assert windowed_stats == exact_stats

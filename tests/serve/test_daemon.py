@@ -25,6 +25,7 @@ from repro.serve import (
     ServeConfig,
     ServerError,
 )
+from repro.cli import build_parser
 from repro.serve import protocol
 from repro.sim.pipeline import run_filter_on_trace
 from repro.traffic.trace import Trace
@@ -69,20 +70,6 @@ class TestVerdictParity:
     async def test_serial_daemon_matches_offline_replay(self, tiny_trace):
         expected = offline_verdicts(tiny_trace)
         daemon = await booted(serve_config())
-        try:
-            client = await AsyncFilterClient.connect(*daemon.data_address)
-            masks = await client.filter_stream(
-                frames_of(tiny_trace.packets), window=8)
-            await client.goodbye()
-            await client.close()
-        finally:
-            await stop(daemon)
-        np.testing.assert_array_equal(np.concatenate(masks), expected)
-
-    @pytest.mark.slow
-    async def test_sharded_daemon_matches_offline_replay(self, tiny_trace):
-        expected = offline_verdicts(tiny_trace)
-        daemon = await booted(serve_config(workers=2))
         try:
             client = await AsyncFilterClient.connect(*daemon.data_address)
             masks = await client.filter_stream(
@@ -143,8 +130,9 @@ class TestProtocolSurface:
             await stop(daemon)
         assert info["filter"]["order"] == FCFG.order
         assert info["filter"]["rotation_interval"] == FCFG.rotation_interval
-        assert info["backend"] == "serial"
         assert info["clock"] == "packet"
+        assert info["exact"] is True
+        assert info["backpressure"] == "block"
         assert sorted(info["protected"]) == sorted(
             str(net) for net in PROTECTED.networks)
 
@@ -447,33 +435,6 @@ class TestSnapshotRestore:
             await stop(second)
         np.testing.assert_array_equal(np.concatenate(masks), expected)
 
-    @pytest.mark.slow
-    async def test_restore_into_sharded_backend(self, tiny_trace, tmp_path):
-        expected = offline_verdicts(tiny_trace)
-        packets = tiny_trace.packets
-        half = len(packets) // 2
-        snap_path = str(tmp_path / "mid.npz")
-
-        first = await booted(serve_config(snapshot_path=snap_path))
-        client = await AsyncFilterClient.connect(*first.data_address)
-        masks = await client.filter_stream(frames_of(packets[:half]),
-                                           window=4)
-        await client.goodbye()
-        await client.close()
-        await stop(first)
-
-        second = await booted(serve_config(restore_path=snap_path,
-                                           workers=2))
-        try:
-            client = await AsyncFilterClient.connect(*second.data_address)
-            masks += await client.filter_stream(frames_of(packets[half:]),
-                                                window=4)
-            await client.goodbye()
-            await client.close()
-        finally:
-            await stop(second)
-        np.testing.assert_array_equal(np.concatenate(masks), expected)
-
 
 class TestWallClock:
     async def test_wall_mode_stamps_arrival_time_and_rotates(self):
@@ -529,3 +490,30 @@ class TestDrainSemantics:
         expected = offline_verdicts(tiny_trace)[:len(got)]
         np.testing.assert_array_equal(got, expected)
         await client.close()
+
+
+class TestCommandLine:
+    """``repro serve`` runs the filter in the daemon process only."""
+
+    ARGS = ["serve", "--protected", "172.16.0.0/24", "--port", "0"]
+
+    def test_backend_serial_still_parses(self):
+        args = build_parser().parse_args(self.ARGS + ["--backend", "serial"])
+        assert args.backend == "serial"
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--backend", "shared"], "invalid choice"),
+        (["--backend", "sharded"], "invalid choice"),
+        (["--workers", "2"], "unrecognized arguments"),
+    ])
+    def test_removed_execution_flags_are_rejected(self, capsys, extra,
+                                                  message):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(self.ARGS + extra)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_serve_config_has_no_worker_fields(self):
+        for field in ("workers", "backend", "mp_context"):
+            with pytest.raises(TypeError, match=field):
+                serve_config(**{field: 2})

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
 from repro.net.packet import PacketArray
 from repro.sim.engine import (
     OutOfOrderPacketError,
@@ -9,6 +10,7 @@ from repro.sim.engine import (
     merge_packet_streams,
 )
 from tests.conftest import make_request
+from tests.strategies import PROTECTED, script_to_packets
 
 
 class TestTimers:
@@ -190,3 +192,62 @@ class TestMerge:
         b = [make_request(float(t), client_addr, server_addr) for t in (2, 3)]
         merged = list(merge_packet_streams(a, b))
         assert [p.ts for p in merged] == [1.0, 2.0, 3.0, 4.0]
+
+
+class TestRunFilter:
+    """``run_filter`` drives a filter in batches split at timer timestamps."""
+
+    CONFIG = BitmapFilterConfig(order=10, num_vectors=4, num_hashes=3,
+                                rotation_interval=5.0)
+
+    @staticmethod
+    def _batch():
+        """A deterministic 26 s mixed script crossing several rotations."""
+        events = [(0.16, i % 3 != 1, (i // 3) % 4) for i in range(160)]
+        return PacketArray.from_packets(script_to_packets(events))
+
+    def _run(self, batched, batch, timers):
+        """Replay ``batch`` through a fresh filter with ``timers`` (each
+        ``(ts, interval, action)``, action called with the filter), either
+        through ``run_filter`` or the scalar ``run`` loop."""
+        engine = SimulationEngine()
+        filt = BitmapFilter(self.CONFIG, PROTECTED)
+        fired = []
+        for ts, interval, action in timers:
+            def handler(now, action=action):
+                fired.append(now)
+                action(filt)
+            engine.schedule(ts, handler, interval=interval)
+        if batched:
+            verdicts = engine.run_filter(filt, batch, until=30.0).tolist()
+        else:
+            verdicts = []
+            engine.on_packet(lambda pkt: verdicts.append(
+                filt.process(pkt) is Decision.PASS))
+            engine.run(iter(batch), until=30.0)
+        return verdicts, fired, engine, filt
+
+    def test_matches_scalar_run_with_recurring_timer(self):
+        batch = self._batch()
+        timers = [(2.0, 3.0, lambda filt: None)]
+        batched = self._run(True, batch, timers)
+        scalar = self._run(False, batch, timers)
+        assert batched[0] == scalar[0]
+        assert batched[1] == scalar[1]
+        engine = batched[2]
+        assert engine.packets_processed == len(batch)
+        assert engine.timers_fired == scalar[2].timers_fired == len(batched[1])
+        assert engine.now == 30.0
+
+    def test_timer_lands_between_the_same_two_packets(self):
+        """A timer that takes the filter down mid-batch lands between the
+        same two packets as in the scalar loop (ties: timer first)."""
+        batch = self._batch()
+        boundary = float(batch.ts[len(batch) // 2])
+        timers = [(boundary, None, lambda filt: filt.fail())]
+        batched = self._run(True, batch, timers)
+        scalar = self._run(False, batch, timers)
+        assert batched[0] == scalar[0]
+        assert batched[3].stats.as_dict() == scalar[3].stats.as_dict()
+        # The outage changed verdicts, so the split point is observable.
+        assert batched[0] != self._run(True, batch, [])[0]

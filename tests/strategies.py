@@ -2,14 +2,12 @@
 
 One home for the generators that used to be copy-pasted across
 ``tests/properties/*.py``: uint32 addresses, valid ports, direction-tagged
-flow events, and rotation-straddling timestamp sequences.  Both the
-property suites and the differential suite (``tests/differential/``) draw
-from here, so a shrunk counterexample in one suite replays directly in the
-other.
+flow events, and rotation-straddling timestamp sequences.  The property
+suites draw from here, so a shrunk counterexample in one suite replays
+directly in another.
 """
 
 import hypothesis.strategies as st
-import numpy as np
 
 from repro.net.address import AddressSpace
 from repro.net.packet import Packet, PacketArray, TcpFlags
@@ -145,54 +143,6 @@ def mixed_direction_packets(draw, max_events: int = 60, max_gap: float = 4.0):
             pkt = Packet(ts, proto, remote, 53, 0x08080808, 53, TcpFlags.NONE)
         packets.append(pkt)
     return packets
-
-
-def bit_index_arrays(order: int = 10, max_len: int = 24):
-    """uint64 arrays of bit indices into a ``2**order``-bit vector — the
-    shape :meth:`Bitmap.mark`/``test_current`` take (duplicates allowed,
-    they must be idempotent)."""
-    return st.lists(
-        st.integers(0, (1 << order) - 1), min_size=1, max_size=max_len,
-    ).map(lambda idx: np.array(idx, dtype=np.uint64))
-
-
-@st.composite
-def epoch_op_scripts(draw, order: int = 10, max_ops: int = 24):
-    """Bitmap-level op scripts exercising epoch-indexed rotation.
-
-    Yields a list of ``("mark", indices)``, ``("test", indices)``, and
-    ``("rotate", None)`` operations.  Rotations are drawn often enough
-    that marks routinely land on both sides of an epoch boundary — the
-    adversarial shape for a shared backend that rotates by bumping an
-    epoch counter and zeroing the retiring slab in place: a stale reader
-    would see either the retired epoch's bits or a half-cleared slab.
-    """
-    ops = []
-    for _ in range(draw(st.integers(1, max_ops))):
-        kind = draw(st.sampled_from(["mark", "mark", "test", "rotate"]))
-        if kind == "rotate":
-            ops.append(("rotate", None))
-        else:
-            ops.append((kind, draw(bit_index_arrays(order=order))))
-    return ops
-
-
-@st.composite
-def bitmap_snapshot_states(draw, num_vectors: int = 4, order: int = 10,
-                           max_rotations: int = 12):
-    """Random restorable bitmap states: (vectors, current_index, rotations).
-
-    The vector stack is dense enough that a lost byte after
-    restore-then-rotate is visible, and ``rotations`` is independent of
-    ``current_index`` (a restored filter may resume mid-cycle)."""
-    num_bytes = (1 << order) >> 3
-    rng_seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(rng_seed)
-    vectors = (rng.integers(0, 256, size=(num_vectors, num_bytes))
-               .astype(np.uint8))
-    rotations = draw(st.integers(0, max_rotations))
-    current_index = draw(st.integers(0, num_vectors - 1))
-    return vectors, current_index, rotations
 
 
 @st.composite

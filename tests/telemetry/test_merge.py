@@ -1,11 +1,9 @@
-"""Tests for repro.telemetry.merge — dump/apply and the fleet scrape path.
+"""Tests for repro.telemetry.merge — the fleet scrape path.
 
-Two layers: the worker-dump machinery (``dump_metrics``/``apply_dump``)
-that the sharded backend has leaned on since ISSUE 3, and the ISSUE 9
-fleet path — ``rows_from_prometheus`` inverting ``to_prometheus`` so a
-scraped ``/metrics`` page merges like a worker dump, and
-``aggregate_fleet`` folding every node's page into one registry with a
-per-node breakdown.
+``rows_from_prometheus`` inverts ``to_prometheus`` so a scraped
+``/metrics`` page turns back into metric rows, ``apply_dump`` folds rows
+into a registry, and ``aggregate_fleet`` folds every node's page into one
+registry with a per-node breakdown.
 """
 
 import pytest
@@ -16,7 +14,6 @@ from repro.telemetry.exporters import to_prometheus
 from repro.telemetry.merge import (
     aggregate_fleet,
     apply_dump,
-    dump_metrics,
     rows_from_prometheus,
 )
 from repro.telemetry.registry import MetricsRegistry
@@ -34,27 +31,13 @@ def make_registry(jobs=3, errs=1, depth=7, latencies=(0.05, 0.5, 5.0)):
 
 
 class TestDumpApply:
-    def test_apply_reproduces_the_source_registry(self):
-        source = make_registry()
-        target = MetricsRegistry()
-        apply_dump(target, dump_metrics(source))
-        assert to_prometheus(target) == to_prometheus(source)
-
-    def test_cumulative_dumps_merge_as_deltas(self):
-        source = make_registry()
-        first = dump_metrics(source)
-        target = MetricsRegistry()
-        apply_dump(target, first)
-        source.counter("jobs_total", "Jobs processed").inc(4)
-        apply_dump(target, dump_metrics(source), previous=first)
-        assert target.counter("jobs_total").value == 7
-
     def test_extra_labels_split_series(self):
         target = MetricsRegistry()
-        apply_dump(target, dump_metrics(make_registry(jobs=1)), shard="0")
-        apply_dump(target, dump_metrics(make_registry(jobs=2)), shard="1")
-        assert target.counter("jobs_total", shard="0").value == 1
-        assert target.counter("jobs_total", shard="1").value == 2
+        for node, jobs in (("node0", 1), ("node1", 2)):
+            page = to_prometheus(make_registry(jobs=jobs))
+            apply_dump(target, rows_from_prometheus(page), node=node)
+        assert target.counter("jobs_total", node="node0").value == 1
+        assert target.counter("jobs_total", node="node1").value == 2
 
 
 class TestRowsFromPrometheus:
@@ -65,14 +48,6 @@ class TestRowsFromPrometheus:
         rebuilt = MetricsRegistry()
         apply_dump(rebuilt, rows_from_prometheus(page))
         assert to_prometheus(rebuilt) == page
-
-    def test_matches_a_native_dump_semantically(self):
-        """A page round-trip and a direct dump apply identically."""
-        source = make_registry()
-        from_dump, from_page = MetricsRegistry(), MetricsRegistry()
-        apply_dump(from_dump, dump_metrics(source))
-        apply_dump(from_page, rows_from_prometheus(to_prometheus(source)))
-        assert to_prometheus(from_page) == to_prometheus(from_dump)
 
     def test_histogram_buckets_are_decumulated(self):
         rows = rows_from_prometheus(to_prometheus(make_registry()))

@@ -210,44 +210,6 @@ class TestBatchPaths:
         assert filt.stats.incoming_dropped == 2
 
 
-class TestAdaptiveDropping:
-    """APD on the scalar path, the only path that supports it."""
-
-    CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                                rotation_interval=2.0)
-
-    @pytest.fixture(scope="class")
-    def flood_trace(self):
-        """Benign client-network workload with a SYN flood on top."""
-        from repro.attacks.ddos import syn_flood
-        from repro.traffic.generator import ClientNetworkWorkload, WorkloadConfig
-        from repro.traffic.trace import Trace
-
-        base = ClientNetworkWorkload(
-            WorkloadConfig(duration=25.0, target_pps=250.0, seed=97)).generate()
-        victim = base.protected.networks[0].host(5)
-        flood = syn_flood(victim, 80, rate_pps=400.0, start=8.0, duration=6.0,
-                          seed=11)
-        return base.merged_with(Trace(flood, base.protected)).time_slice(0.0, 26.0)
-
-    def test_apd_verdicts_differ_from_plain_filter(self, flood_trace):
-        """Aggressive thresholds put the drop probability strictly inside
-        (0, 1) during the flood, so APD admits some packets the bitmap
-        alone drops."""
-        from repro.core.apd import AdaptiveDroppingPolicy, PacketRatioIndicator
-
-        plain = BitmapFilter(self.CONFIG, flood_trace.protected)
-        apd = BitmapFilter(
-            self.CONFIG, flood_trace.protected,
-            apd=AdaptiveDroppingPolicy(PacketRatioIndicator(low=0.5, high=2.0),
-                                       seed=0xD09))
-        plain_verdicts = [plain.process(pkt) for pkt in flood_trace.packets]
-        apd_verdicts = [apd.process(pkt) for pkt in flood_trace.packets]
-        assert plain_verdicts != apd_verdicts
-        assert apd.apd.stats.admitted > 0
-        assert apd.stats.apd_admitted == apd.apd.stats.admitted
-
-
 class TestHelpers:
     def test_would_pass_incoming_is_nonmutating(
         self, bitmap_filter, client_addr, server_addr

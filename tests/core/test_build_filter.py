@@ -112,9 +112,22 @@ class TestBackendResolution:
         assert isinstance(filt, BitmapFilter)
 
     def test_unknown_backend_rejected(self, protected):
-        for name in ("sharded", "shared", "quantum"):
+        with pytest.raises(ValueError, match="serial"):
+            build_filter(CONFIG, protected, backend="quantum")
+
+    def test_named_parallel_backend(self, protected):
+        """The parallel backends are gone: naming one is an error that
+        points at the one remaining spelling."""
+        for name in ("sharded", "shared"):
             with pytest.raises(ValueError, match="serial"):
                 build_filter(CONFIG, protected, backend=name)
+
+    def test_ambient_backend_with_layers(self, protected):
+        """The serial spelling composes with the ambient layer stack."""
+        with use_layers(("verify",)):
+            filt = build_filter(CONFIG, protected, backend="serial")
+        assert isinstance(filt, HybridVerifiedFilter)
+        assert isinstance(filt.inner, BitmapFilter)
 
     def test_workers_argument_rejected(self, protected):
         with pytest.raises(TypeError, match="workers"):
@@ -129,11 +142,6 @@ class TestBackendResolution:
                             layers=("verify",))
         assert filt.fail_policy is FailPolicy.FAIL_OPEN
         assert filt.config.order == 12
-
-    def test_build_filter_does_not_warn(self, protected):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_filter(CONFIG, protected)
 
 
 class TestSnapshotRestore:
@@ -172,3 +180,12 @@ class TestSnapshotRestore:
     def test_snapshot_rejects_conflicting_arguments(self, protected):
         with pytest.raises(TypeError, match="snapshot"):
             build_filter(CONFIG, protected, snapshot=io.BytesIO())
+
+
+class TestDeprecatedAliases:
+    def test_build_filter_does_not_warn(self, protected):
+        """The factory is the one spelling; it carries no deprecation path."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            build_filter(CONFIG, protected)
+            build_filter(CONFIG, protected, backend="serial")

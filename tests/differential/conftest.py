@@ -1,89 +1,57 @@
-"""Shared fixtures for the serial-vs-parallel differential suite.
+"""Shared fixtures for the split-equivalence half of the differential suite.
 
-Every test here replays identical input through a serial
-:class:`~repro.core.bitmap_filter.BitmapFilter` and a parallel filter —
-the replicated :class:`~repro.parallel.ShardedBitmapFilter` and the
-shared-memory :class:`~repro.parallel.SharedBitmapFilter` — and asserts
-*bit-for-bit* agreement: verdicts, merged stats, rotation schedule, and
-raw bitmap bytes.  Any test that takes a ``backend`` argument is
-automatically parametrized over every parallel backend, so the whole
-suite states the equivalence contract once and proves it N times.
+The fleet and multi-site files compare live daemons with the offline
+runner.  The split-equivalence files replay one trace through a single
+:class:`~repro.core.bitmap_filter.BitmapFilter` and through the same work
+spread over several filter instances, and assert *bit-for-bit* agreement:
+verdicts, summed stats, rotation schedule and raw bitmap bytes.  Any test
+that takes a ``backend`` argument is parametrized over every way of
+spreading the work:
 
-The ``verified-*`` backends re-run the same contract with the hybrid
-bitmap→cuckoo verification tier stacked on top of each side: the serial
-reference becomes a :class:`~repro.core.hybrid.HybridVerifiedFilter`
-over a serial bitmap filter, the parallel subject a hybrid over the
-parallel backend.  Verdicts, bitmap bytes, *and* cuckoo table digests
-must all agree, which proves the verification layer composes with the
-execution backends without changing semantics.
+- ``sharded``: incoming packets are split by destination host over N
+  filters that each see every outgoing packet.  Only outgoing packets and
+  the clock write filter state, so every instance must end bit-identical
+  to the single filter and their verdicts must reassemble into its
+  verdicts.  A deployment that shards a client network by host relies on
+  exactly this.
+- ``shared``: the trace is cut into N consecutive runs at rotation
+  boundaries, and each run's filter hands its whole state to the next one
+  through a snapshot (:func:`~repro.core.persistence.save_filter` /
+  :func:`~repro.core.persistence.load_filter`), the warm-restart path.
+  (Cutting at a boundary keeps the windowed path's rotation windows whole;
+  arbitrary cuts of the exact path are covered by
+  ``tests/properties/test_batch_kernel.py``.)
 
-The fixtures provide one session-scoped benign+flood trace and the
-state-comparison helper the whole suite leans on.
+The ``verified-*`` names stack the hybrid bitmap→cuckoo verification tier
+(:class:`~repro.core.hybrid.HybridVerifiedFilter`) on every filter on both
+sides, so the cuckoo tables must agree too.
 """
+
+import io
 
 import numpy as np
 import pytest
 
 from repro.attacks.ddos import syn_flood
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
-from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
-from repro.parallel import (
-    SharedBitmapFilter,
-    ShardedBitmapFilter,
-    shard_filter,
-    share_filter,
+from repro.core.bitmap_filter import (
+    BitmapFilter,
+    BitmapFilterConfig,
+    Decision,
 )
+from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
+from repro.core.persistence import load_filter, save_filter
+from repro.net.packet import DIRECTION_INCOMING
 from repro.traffic.generator import ClientNetworkWorkload, WorkloadConfig
 from repro.traffic.trace import Trace
 
-#: Worker counts every parametrized equivalence test sweeps.
+#: Instance counts every parametrized equivalence test sweeps.
 WORKER_COUNTS = (1, 2, 4)
 
-#: Every parallel backend the differential contract covers.  The
-#: ``verified-*`` names stack the hybrid verification tier over the base
-#: backend on *both* sides of every comparison.
-PARALLEL_BACKENDS = ("sharded", "shared", "verified-sharded",
-                     "verified-shared")
+#: Every way of spreading one filter's work the contract covers.
+SPREADS = ("sharded", "shared", "verified-sharded", "verified-shared")
 
 #: Small table so the trace exercises growth under the sweep.
 VERIFY_SPEC = VerifySpec(initial_order=4)
-
-
-def base_backend(backend: str) -> str:
-    """The execution-backend half of a sweep name (``verified-shared`` →
-    ``shared``); plain names pass through."""
-    return backend.rsplit("-", 1)[-1]
-
-
-def is_verified(backend: str) -> bool:
-    return backend.startswith("verified-")
-
-
-def _verified_wrapper(wrap):
-    """Lift a pristine-donor wrapper (shard/share) to hybrid donors: the
-    bitmap tier underneath gets parallelized, the wrapper and its cuckoo
-    table carry over.  Keeps the base wrappers' idempotence contract."""
-    def wrapper(donor, num_workers):
-        if isinstance(donor, HybridVerifiedFilter):
-            inner = wrap(donor.inner, num_workers)
-            if inner is donor.inner:
-                return donor
-            # The base wrappers leave the donor usable, so the lifted
-            # wrapper must too: the new stack gets its own table copy.
-            return HybridVerifiedFilter(inner, donor.spec,
-                                        table=donor.table.copy())
-        return wrap(donor, num_workers)
-    return wrapper
-
-
-#: Backend name -> filter class / pristine-donor wrapper.
-PARALLEL_FILTERS = {"sharded": ShardedBitmapFilter,
-                    "shared": SharedBitmapFilter,
-                    "verified-sharded": HybridVerifiedFilter,
-                    "verified-shared": HybridVerifiedFilter}
-PARALLEL_WRAPPERS = {"sharded": shard_filter, "shared": share_filter,
-                     "verified-sharded": _verified_wrapper(shard_filter),
-                     "verified-shared": _verified_wrapper(share_filter)}
 
 #: Small geometry with a fast rotation clock: a 25 s trace crosses ~12
 #: rotation boundaries and several full expiry windows.
@@ -93,10 +61,9 @@ CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
 
 def pytest_generate_tests(metafunc):
     """Sweep every test that names a ``backend`` argument across all
-    parallel backends (plain parametrize, so Hypothesis tests get it
-    too without function-scoped-fixture health checks)."""
+    spreads (plain parametrize, so Hypothesis tests get it too)."""
     if "backend" in metafunc.fixturenames:
-        metafunc.parametrize("backend", PARALLEL_BACKENDS)
+        metafunc.parametrize("backend", SPREADS)
 
 
 @pytest.fixture(scope="session")
@@ -108,26 +75,108 @@ def trace() -> Trace:
     flood = syn_flood(victim, 80, rate_pps=400.0, start=8.0, duration=6.0,
                       seed=11)
     # Session tails dribble on long past the nominal duration; bound the
-    # trace so fault schedules (and rotation counts) stay in a known window.
+    # trace so rotation counts stay in a known window.
     return base.merged_with(Trace(flood, base.protected)).time_slice(0.0, 26.0)
 
 
 def make_serial(protected, backend="serial", config=CONFIG, **kwargs):
-    """The serial reference for ``backend``: a plain bitmap filter, or a
-    hybrid over one when the sweep name asks for the verified stack."""
+    """A plain bitmap filter, or a hybrid over one when the sweep name
+    asks for the verified stack."""
     filt = BitmapFilter(config, protected, **kwargs)
-    if is_verified(backend):
+    if backend.startswith("verified-"):
         filt = HybridVerifiedFilter(filt, VERIFY_SPEC)
     return filt
 
 
-def make_parallel(backend, protected, num_workers, config=CONFIG, **kwargs):
-    """A parallel filter of the requested backend over ``config``."""
-    filt = PARALLEL_FILTERS[base_backend(backend)](
-        config, protected, num_workers=num_workers, **kwargs)
-    if is_verified(backend):
-        filt = HybridVerifiedFilter(filt, VERIFY_SPEC)
-    return filt
+def _hand_off(filt):
+    """A new filter holding ``filt``'s whole state, via a snapshot."""
+    buf = io.BytesIO()
+    save_filter(filt, buf)
+    buf.seek(0)
+    return load_filter(buf)
+
+
+def _runs(ts, num_runs, config):
+    """Row ranges of ``num_runs`` consecutive runs of roughly equal length,
+    each cut moved forward to the first packet of a rotation window."""
+    window = np.floor(np.asarray(ts) / config.rotation_interval)
+    starts = np.flatnonzero(np.diff(window)) + 1
+    cuts = []
+    for run in range(1, num_runs):
+        nominal = len(ts) * run // num_runs
+        at = np.searchsorted(starts, nominal)
+        cuts.append(int(starts[at]) if at < len(starts) else len(ts))
+    return np.split(np.arange(len(ts)), cuts)
+
+
+class Spread:
+    """The result of one replay spread over several filter instances.
+
+    ``verdicts`` is the reassembled verdict vector, ``filters`` the
+    instances holding the final state (every shard, or the last filter of
+    a hand-off chain), ``verified`` the (confirmed, denied) counts summed
+    over every instance the replay used.
+    """
+
+    def __init__(self, verdicts, filters, verified):
+        self.verdicts = verdicts
+        self.filters = filters
+        self.verified = verified
+
+
+def spread_replay(backend, protected, num_workers, packets, feed,
+                  config=CONFIG):
+    """Replay ``packets`` with the work spread as ``backend`` names.
+
+    ``feed(filt, rows)`` runs the packets at the ascending positions
+    ``rows`` through ``filt`` and returns their verdicts as a bool array.
+    """
+    verdicts = np.zeros(len(packets), dtype=bool)
+    filters = []
+    confirmed = denied = 0
+    if backend.endswith("sharded"):
+        incoming = packets.directions(protected) == DIRECTION_INCOMING
+        owner = packets.dst % num_workers
+        for worker in range(num_workers):
+            rows = np.flatnonzero(~incoming | (owner == worker))
+            filt = make_serial(protected, backend, config)
+            got = feed(filt, rows)
+            shared_rows = ~incoming[rows]
+            if worker:
+                # Packets every shard sees get the same verdict everywhere.
+                assert np.array_equal(got[shared_rows],
+                                      verdicts[rows[shared_rows]])
+            verdicts[rows] = got
+            # A shard whose last packet came early still owes the rotations
+            # the single filter ran on later packets.
+            filt.advance_to(float(packets.ts[-1]))
+            filters.append(filt)
+    else:
+        filt = make_serial(protected, backend, config)
+        for run, rows in enumerate(_runs(packets.ts, num_workers, config)):
+            if run:
+                confirmed += getattr(filt, "confirmed", 0)
+                denied += getattr(filt, "denied", 0)
+                filt = _hand_off(filt)
+            verdicts[rows] = feed(filt, rows)
+        filters.append(filt)
+    for filt in filters:
+        confirmed += getattr(filt, "confirmed", 0)
+        denied += getattr(filt, "denied", 0)
+    return Spread(verdicts, filters, (confirmed, denied))
+
+
+def feed_batch(packets, exact=True):
+    """A ``feed`` running the whole share through the batch path."""
+    return lambda filt, rows: filt.process_batch(packets[rows], exact=exact)
+
+
+def feed_scalar(packets):
+    """A ``feed`` running the share packet by packet."""
+    def feed(filt, rows):
+        return np.array([filt.process(packets[int(i)]) is Decision.PASS
+                         for i in rows], dtype=bool)
+    return feed
 
 
 def bitmap_state(filt):
@@ -137,18 +186,31 @@ def bitmap_state(filt):
     return vectors, bitmap.current_index, bitmap.rotations
 
 
-def assert_same_filter_state(serial, parallel) -> None:
-    """The full serial-equivalence contract on two post-replay filters."""
-    assert parallel.stats.as_dict() == serial.stats.as_dict()
-    assert parallel.next_rotation == serial.next_rotation
+#: FilterStats fields only incoming packets move; a shard counts its own.
+_INCOMING_FIELDS = ("incoming", "incoming_dropped", "incoming_passed",
+                    "apd_admitted", "degraded_admitted", "degraded_dropped",
+                    "warmup_admitted")
+
+
+def assert_same_filter_state(serial, spread) -> None:
+    """The full equivalence contract: the single filter after a replay
+    against the spread replay of the same packets."""
+    expected = serial.stats.as_dict()
+    stats = [filt.stats.as_dict() for filt in spread.filters]
+    for name in expected:
+        if name in _INCOMING_FIELDS:
+            assert sum(s[name] for s in stats) == expected[name], name
+        else:
+            assert all(s[name] == expected[name] for s in stats), name
     serial_vecs, serial_idx, serial_rot = bitmap_state(serial)
-    parallel_vecs, parallel_idx, parallel_rot = bitmap_state(parallel)
-    assert parallel_idx == serial_idx
-    assert parallel_rot == serial_rot
-    assert np.array_equal(parallel_vecs, serial_vecs)
-    if isinstance(serial, HybridVerifiedFilter) or isinstance(
-            parallel, HybridVerifiedFilter):
+    for filt in spread.filters:
+        assert filt.next_rotation == serial.next_rotation
+        vecs, idx, rot = bitmap_state(filt)
+        assert idx == serial_idx
+        assert rot == serial_rot
+        assert np.array_equal(vecs, serial_vecs)
+    if isinstance(serial, HybridVerifiedFilter):
         # Verified sweeps: the exact tier must agree too, byte for byte.
-        assert parallel.table.state_digest() == serial.table.state_digest()
-        assert parallel.confirmed == serial.confirmed
-        assert parallel.denied == serial.denied
+        for filt in spread.filters:
+            assert filt.table.state_digest() == serial.table.state_digest()
+        assert spread.verified == (serial.confirmed, serial.denied)

@@ -1,180 +1,59 @@
-"""Differential proof, part 4: shard-aware adaptive packet dropping.
+"""Differential proof, part 2: adaptive packet dropping under the stack.
 
-APD drop decisions depend on *global arrival order* — the indicator state
+APD drop decisions depend on *global arrival order*: the indicator state
 and the drop-RNG draw sequence are both functions of every packet the
-filter has seen, in order.  The sharded backend's replicas never observe
-that order, so it historically fell back to a serial filter (silently;
-now with a :class:`DeprecationWarning`).  The shared backend's single
-writer *does* see every arrival in order and publishes the arrival
-counters into the shared header, so APD runs natively in parallel.
-
-This file is the proof: a shared filter with APD is verdict-for-verdict,
-counter-for-counter, and RNG-draw-for-RNG-draw identical to the serial
-filter — plus the regression tests pinning the sharded fallback's
-deprecation path.
+filter has seen, in order.  The verification tier sits above the bitmap
+filter that owns the policy, so stacking it must leave that order, and
+hence every APD decision, untouched.  APD is scalar-only; the batch path
+refuses it on both stacks.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.apd import (
-    AdaptiveDroppingPolicy,
-    BandwidthIndicator,
-    PacketRatioIndicator,
-)
-from repro.core import filter_api
-from repro.core.filter_api import build_filter
-from repro.parallel import (
-    SharedBitmapFilter,
-    ShardedBitmapFilter,
-    create_filter,
-    shard_filter,
-    share_filter,
-    use_backend,
-)
-from repro.parallel.shm import ARRIVALS_IN, ARRIVALS_OUT, ARRIVALS_TOTAL
-from tests.differential.conftest import CONFIG, make_serial
+from repro.core.apd import AdaptiveDroppingPolicy, PacketRatioIndicator
+from repro.core.hybrid import HybridVerifiedFilter
+from tests.differential.conftest import VERIFY_SPEC, make_serial
 
 pytestmark = pytest.mark.differential
 
+
 #: Aggressive thresholds so the flood window actually modulates the drop
-#: probability into (0, 1) — otherwise the RNG is never consulted and the
-#: agreement test would be vacuous.
+#: probability into (0, 1); otherwise the RNG is never consulted.
 def _ratio_policy(seed=0xD09):
     return AdaptiveDroppingPolicy(PacketRatioIndicator(low=0.5, high=2.0),
                                   seed=seed)
 
 
-def _bandwidth_policy(seed=0xD09):
-    return AdaptiveDroppingPolicy(BandwidthIndicator(link_capacity_bps=2e5),
-                                  seed=seed)
-
-
-def _make_shared(protected, num_workers, apd):
-    return SharedBitmapFilter(CONFIG, protected, num_workers=num_workers,
-                              apd=apd)
-
-
-@pytest.mark.parametrize("num_workers", (1, 2, 4))
-@pytest.mark.parametrize("policy_factory", [_ratio_policy, _bandwidth_policy],
-                         ids=["packet-ratio", "bandwidth"])
-def test_scalar_apd_verdicts_identical(trace, num_workers, policy_factory):
-    """Same trace, same APD seed: the shared filter must consult the
-    indicator and burn RNG draws in exactly the serial order, so every
-    randomized admit/drop lands identically."""
-    serial = make_serial(trace.protected, apd=policy_factory())
-    with _make_shared(trace.protected, num_workers,
-                      policy_factory()) as shared:
-        for pkt in trace.packets:
-            assert shared.process(pkt) is serial.process(pkt), pkt
-        assert shared.stats.as_dict() == serial.stats.as_dict()
-        assert (shared.apd.stats.admitted, shared.apd.stats.dropped) \
-            == (serial.apd.stats.admitted, serial.apd.stats.dropped)
-        # Identical draw sequences leave identical RNG states — the
-        # strongest statement that no draw was skipped or reordered.
-        assert shared.apd._rng.getstate() == serial.apd._rng.getstate()
-    # The policy actually randomized (drop probability strictly inside
-    # (0,1) at least once); otherwise this test proves nothing.
-    assert serial.apd.stats.admitted > 0
-    assert serial.stats.apd_admitted == serial.apd.stats.admitted
-
-
 def test_apd_indicator_state_tracks_serial(trace):
-    """The indicator's sliding windows advance identically: after replay
-    the drop probability itself (not just past verdicts) agrees, so the
-    *next* decision would agree too."""
+    """The bare APD filter and the same filter under the verification
+    tier see the same arrivals in the same order: the indicator's windows,
+    the drop probability and the RNG position all agree after replay."""
     serial = make_serial(trace.protected, apd=_ratio_policy())
-    with _make_shared(trace.protected, 2, _ratio_policy()) as shared:
-        for pkt in trace.packets:
-            serial.process(pkt)
-            shared.process(pkt)
-        assert (shared.apd.indicator.drop_probability()
-                == serial.apd.indicator.drop_probability())
-
-
-def test_shared_arrival_counters_visible_to_workers(trace):
-    """The header words that make APD shard-aware: the writer publishes
-    global arrival counts, and every reader process observes them."""
-    with _make_shared(trace.protected, 2, _ratio_policy()) as shared:
-        for pkt in trace.packets[:600]:
-            shared.process(pkt)
-        stats = shared.stats
-        assert shared.bitmap.arrivals == (stats.total, stats.outgoing,
-                                          stats.incoming)
-        for w in range(shared.num_workers):
-            header = shared.worker_header(w)
-            assert header[ARRIVALS_TOTAL] == stats.total
-            assert header[ARRIVALS_OUT] == stats.outgoing
-            assert header[ARRIVALS_IN] == stats.incoming
+    inner = make_serial(trace.protected, apd=_ratio_policy())
+    verified = HybridVerifiedFilter(inner, VERIFY_SPEC)
+    for pkt in trace.packets:
+        serial.process(pkt)
+        verified.process(pkt)
+    assert inner.stats.as_dict() == serial.stats.as_dict()
+    assert (inner.apd.stats.admitted, inner.apd.stats.dropped) \
+        == (serial.apd.stats.admitted, serial.apd.stats.dropped)
+    assert (inner.apd.indicator.drop_probability()
+            == serial.apd.indicator.drop_probability())
+    assert inner.apd._rng.getstate() == serial.apd._rng.getstate()
+    assert serial.apd.stats.admitted > 0
 
 
 def test_apd_batch_unsupported_on_both(trace):
-    """Batch + APD is NotImplemented on the serial path; the shared filter
-    must refuse identically rather than silently diverge."""
+    """Batch + APD is NotImplemented on the bare filter; the verified
+    stack must refuse identically rather than silently diverge."""
     serial = make_serial(trace.protected, apd=_ratio_policy())
     with pytest.raises(NotImplementedError):
         serial.process_batch(trace.packets[:10])
-    with _make_shared(trace.protected, 2, _ratio_policy()) as shared:
-        with pytest.raises(NotImplementedError):
-            shared.process_batch(trace.packets[:10])
-
-
-def test_share_filter_transfers_apd(trace):
-    """share_filter() carries the donor's APD policy object across, so
-    the wrapped filter keeps the donor's RNG position and indicator."""
-    policy = _ratio_policy()
-    donor = make_serial(trace.protected, apd=policy)
-    shared = share_filter(donor, 2)
-    try:
-        assert shared.apd is policy
-    finally:
-        shared.close()
-
-
-# -- regression: the sharded backend's serial fallback is now loud -----------
-
-
-def test_create_filter_sharded_apd_deprecation(trace):
-    """The silent serial fallback is gone: requesting APD on the sharded
-    backend warns (DeprecationWarning naming the shared backend) while
-    still returning the equivalent serial filter."""
-    with use_backend(name="sharded", workers=2):
-        with pytest.warns(DeprecationWarning, match='backend="shared"'):
-            filt = create_filter(CONFIG, trace.protected, apd=_ratio_policy())
-    assert not isinstance(filt, (ShardedBitmapFilter, SharedBitmapFilter))
-    assert filt.apd is not None
-
-
-def test_build_filter_shared_apd_is_silent_and_parallel(trace):
-    """Opting into the shared backend makes the same request clean: a
-    parallel filter, no warning — through the unified factory, which is
-    the non-deprecated spelling."""
-    with filter_api.use_backend(name="shared", workers=2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            filt = build_filter(CONFIG, trace.protected, apd=_ratio_policy())
-    try:
-        assert isinstance(filt, SharedBitmapFilter)
-        assert filt.apd is not None
-    finally:
-        filt.close()
-
-
-def test_create_filter_alias_warns_with_pointer(trace):
-    """The legacy factory still works but names its replacement."""
-    with pytest.warns(DeprecationWarning, match="build_filter"):
-        filt = create_filter(CONFIG, trace.protected)
-    assert filt.apd is None
-
-
-def test_shard_filter_still_refuses_apd_donor(trace):
-    """shard_filter() cannot support APD at all — its error now routes
-    users to the shared backend instead of the removed silent fallback."""
-    donor = make_serial(trace.protected, apd=_ratio_policy())
-    with pytest.raises(ValueError, match="shared"):
-        shard_filter(donor, 2)
+    verified = HybridVerifiedFilter(
+        make_serial(trace.protected, apd=_ratio_policy()), VERIFY_SPEC)
+    with pytest.raises(NotImplementedError):
+        verified.process_batch(trace.packets[:10])
 
 
 def test_apd_verdicts_differ_from_plain_filter(trace):
@@ -186,3 +65,5 @@ def test_apd_verdicts_differ_from_plain_filter(trace):
     apd_verdicts = [apd.process(pkt) for pkt in trace.packets]
     assert not np.array_equal(np.array(plain_verdicts),
                               np.array(apd_verdicts))
+    assert apd.apd.stats.admitted > 0
+    assert apd.stats.apd_admitted == apd.apd.stats.admitted

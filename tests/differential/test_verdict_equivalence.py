@@ -1,11 +1,11 @@
 """Differential proof, part 1: fault-free verdict and state agreement.
 
-Every parallel filter must return the exact verdict vector the serial
-filter returns — same trace, same config — for every backend, every
-worker count, on both the exact and the windowed batch path, on the
-scalar path, and across adversarially boundary-clustered timestamp
-sequences.  ``backend`` arguments sweep automatically over every
-parallel backend (see conftest).
+A filter's work spread over several instances must return the exact
+verdict vector the single filter returns — same trace, same config — for
+every spread, every instance count, on both the exact and the windowed
+batch path, on the scalar path, and when the two entry points are mixed.
+``backend`` arguments sweep automatically over every spread (see
+conftest).
 """
 
 import numpy as np
@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.net.packet import Packet, PacketArray, TcpFlags
+from repro.net.protocols import IPPROTO_TCP
 from tests.differential.conftest import (
-    PARALLEL_FILTERS,
-    PARALLEL_WRAPPERS,
     WORKER_COUNTS,
     assert_same_filter_state,
-    make_parallel,
+    feed_batch,
+    feed_scalar,
     make_serial,
+    spread_replay,
 )
 from tests.strategies import (
     PROTECTED,
@@ -39,47 +41,49 @@ HYP_CONFIG = BitmapFilterConfig(order=10, num_vectors=4, num_hashes=3,
 @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "windowed"])
 def test_full_trace_verdicts_and_state(trace, backend, num_workers, exact):
+    packets = trace.packets
     serial = make_serial(trace.protected, backend)
-    expected = serial.process_batch(trace.packets, exact=exact)
-    with make_parallel(backend, trace.protected, num_workers) as parallel:
-        got = parallel.process_batch(trace.packets, exact=exact)
-        assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+    expected = serial.process_batch(packets, exact=exact)
+    spread = spread_replay(backend, trace.protected, num_workers, packets,
+                           feed_batch(packets, exact=exact))
+    assert np.array_equal(spread.verdicts, expected)
+    assert_same_filter_state(serial, spread)
 
 
 @pytest.mark.parametrize("num_workers", (2, 3))
 def test_scalar_path_agrees(trace, backend, num_workers):
-    packets = list(trace.packets[:400])
+    packets = trace.packets[:400]
     serial = make_serial(trace.protected, backend)
-    with make_parallel(backend, trace.protected, num_workers) as parallel:
-        for pkt in packets:
-            assert parallel.process(pkt) is serial.process(pkt), pkt
-        assert_same_filter_state(serial, parallel)
+    expected = feed_scalar(packets)(serial, np.arange(len(packets)))
+    spread = spread_replay(backend, trace.protected, num_workers, packets,
+                           feed_scalar(packets))
+    assert np.array_equal(spread.verdicts, expected)
+    assert_same_filter_state(serial, spread)
 
 
 def test_batch_after_scalar_interleaving(trace, backend):
     """Mixing the scalar and batch entry points must not diverge."""
     packets = trace.packets[:900]
     split = 300
+    scalar, batch = feed_scalar(packets), feed_batch(packets)
+
+    def feed(filt, rows):
+        head, tail = rows[rows < split], rows[rows >= split]
+        return np.concatenate([scalar(filt, head), batch(filt, tail)])
+
     serial = make_serial(trace.protected, backend)
-    with make_parallel(backend, trace.protected, 2) as parallel:
-        for pkt in packets[:split]:
-            assert parallel.process(pkt) is serial.process(pkt)
-        expected = serial.process_batch(packets[split:])
-        got = parallel.process_batch(packets[split:])
-        assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+    expected = feed(serial, np.arange(len(packets)))
+    spread = spread_replay(backend, trace.protected, 2, packets, feed)
+    assert np.array_equal(spread.verdicts, expected)
+    assert_same_filter_state(serial, spread)
 
 
 def test_parallel_windowed_equals_serial_windowed(trace, backend):
-    """exact=False is an approximation of serial-exact, but it must still
-    be the *same* approximation on every backend — verified on a batch
+    """exact=False is an approximation of exact, but the spread must make
+    the *same* approximation as the single filter, verified on a batch
     where the approximation provably diverges (replies arriving just
     before their own outgoing mark inside one rotation window, which the
     windowed path admits and the exact path drops)."""
-    from repro.net.packet import Packet, PacketArray, TcpFlags
-    from repro.net.protocols import IPPROTO_TCP
-
     protected = trace.protected
     packets = []
     for flow in range(24):
@@ -96,61 +100,40 @@ def test_parallel_windowed_equals_serial_windowed(trace, backend):
     packets.sort(key=lambda pkt: pkt.ts)
     batch = PacketArray.from_packets(packets)
 
-    serial_windowed = make_serial(protected, backend).process_batch(
-        batch, exact=False)
+    serial = make_serial(protected, backend)
+    serial_windowed = serial.process_batch(batch, exact=False)
     serial_exact = make_serial(protected, backend).process_batch(
         batch, exact=True)
     assert not np.array_equal(serial_windowed, serial_exact), \
         "batch too tame: windowed path never diverged, weak test"
-    with make_parallel(backend, protected, 4) as parallel:
-        got = parallel.process_batch(batch, exact=False)
-    assert np.array_equal(got, serial_windowed)
-
-
-def test_wrapper_wraps_pristine_donor(trace, backend):
-    wrap = PARALLEL_WRAPPERS[backend]
-    donor = make_serial(trace.protected, backend)
-    parallel = wrap(donor, 2)
-    try:
-        assert isinstance(parallel, PARALLEL_FILTERS[backend])
-        assert wrap(parallel, 4) is parallel  # idempotent
-        expected = donor.process_batch(trace.packets)
-        got = parallel.process_batch(trace.packets)
-        assert np.array_equal(got, expected)
-    finally:
-        parallel.close()
-
-
-def test_wrapper_refuses_used_donor(trace, backend):
-    donor = make_serial(trace.protected, backend)
-    donor.process_batch(trace.packets[:50])
-    with pytest.raises(ValueError, match="pristine"):
-        PARALLEL_WRAPPERS[backend](donor, 2)
+    spread = spread_replay(backend, protected, 4, batch,
+                           feed_batch(batch, exact=False))
+    assert np.array_equal(spread.verdicts, serial_windowed)
+    assert_same_filter_state(serial, spread)
 
 
 @given(script=mixed_direction_packets())
 @settings(max_examples=25, deadline=None)
 def test_property_mixed_direction_batches(backend, script):
-    from repro.net.packet import PacketArray
-
     batch = PacketArray.from_packets(script)
     serial = make_serial(PROTECTED, backend, config=HYP_CONFIG)
     expected = serial.process_batch(batch)
-    with make_parallel(backend, PROTECTED, 2,
-                       config=HYP_CONFIG) as parallel:
-        got = parallel.process_batch(batch)
-        assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+    spread = spread_replay(backend, PROTECTED, 2, batch, feed_batch(batch),
+                           config=HYP_CONFIG)
+    assert np.array_equal(spread.verdicts, expected)
+    assert_same_filter_state(serial, spread)
 
 
 @given(events=traffic_scripts())
 @settings(max_examples=25, deadline=None)
 def test_property_scalar_scripts(backend, events):
+    packets = PacketArray.from_packets(script_to_packets(events))
     serial = make_serial(PROTECTED, backend, config=HYP_CONFIG)
-    with make_parallel(backend, PROTECTED, 3,
-                       config=HYP_CONFIG) as parallel:
-        for pkt in script_to_packets(events):
-            assert parallel.process(pkt) is serial.process(pkt), pkt
+    expected = feed_scalar(packets)(serial, np.arange(len(packets)))
+    spread = spread_replay(backend, PROTECTED, 3, packets,
+                           feed_scalar(packets), config=HYP_CONFIG)
+    assert np.array_equal(spread.verdicts, expected)
+    assert_same_filter_state(serial, spread)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "windowed"])
@@ -159,11 +142,10 @@ def test_property_scalar_scripts(backend, events):
 @settings(max_examples=25, deadline=None)
 def test_property_rotation_boundary_clusters(backend, exact, batch):
     """Timestamps landing just before / on / just after rotation
-    boundaries — the adversarial shape for lockstep-rotation bugs."""
+    boundaries: the adversarial shape for lockstep-rotation bugs."""
     serial = make_serial(PROTECTED, backend, config=HYP_CONFIG)
     expected = serial.process_batch(batch, exact=exact)
-    with make_parallel(backend, PROTECTED, 2,
-                       config=HYP_CONFIG) as parallel:
-        got = parallel.process_batch(batch, exact=exact)
-        assert np.array_equal(got, expected)
-        assert_same_filter_state(serial, parallel)
+    spread = spread_replay(backend, PROTECTED, 2, batch,
+                           feed_batch(batch, exact=exact), config=HYP_CONFIG)
+    assert np.array_equal(spread.verdicts, expected)
+    assert_same_filter_state(serial, spread)

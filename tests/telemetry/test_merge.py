@@ -30,7 +30,24 @@ def make_registry(jobs=3, errs=1, depth=7, latencies=(0.05, 0.5, 5.0)):
     return reg
 
 
+#: The rows ``make_registry()`` holds, written out by hand in the row
+#: format ``apply_dump`` consumes.
+NATIVE_ROWS = [
+    ("counter", "jobs_total", (), "Jobs processed", 3),
+    ("counter", "errs_total", (("kind", "io"),), "Errors", 1),
+    ("gauge", "depth", (), "Queue depth", 7),
+    ("histogram", "latency_seconds", (), "Latency", (0.1, 1.0), (1, 1, 1),
+     5.55, 3),
+]
+
+
 class TestDumpApply:
+    def test_apply_reproduces_the_source_registry(self):
+        source = make_registry()
+        target = MetricsRegistry()
+        apply_dump(target, NATIVE_ROWS)
+        assert to_prometheus(target) == to_prometheus(source)
+
     def test_extra_labels_split_series(self):
         target = MetricsRegistry()
         for node, jobs in (("node0", 1), ("node1", 2)):
@@ -48,6 +65,13 @@ class TestRowsFromPrometheus:
         rebuilt = MetricsRegistry()
         apply_dump(rebuilt, rows_from_prometheus(page))
         assert to_prometheus(rebuilt) == page
+
+    def test_matches_a_native_dump_semantically(self):
+        """A scraped page parses back into exactly the rows the registry
+        holds (numbers compared by value, not by type)."""
+        rows = rows_from_prometheus(to_prometheus(make_registry()))
+        assert sorted(rows, key=lambda row: row[1]) == sorted(
+            NATIVE_ROWS, key=lambda row: row[1])
 
     def test_histogram_buckets_are_decumulated(self):
         rows = rows_from_prometheus(to_prometheus(make_registry()))

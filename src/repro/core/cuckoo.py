@@ -258,10 +258,6 @@ class CuckooFlowTable:
         """Bytes of key/stamp storage (8 + 8 + 8 per slot)."""
         return self._key_lo.nbytes + self._key_hi.nbytes + self._stamp.nbytes
 
-    def live_count(self, now: float) -> int:
-        """Entries still within their lifetime at ``now`` (O(capacity))."""
-        return int((self._stamp > now - self._lifetime).sum())
-
     # -- hashing ----------------------------------------------------------------
 
     def _bucket_and_tag(self, lo: int, hi: int) -> Tuple[int, int]:
@@ -295,27 +291,24 @@ class CuckooFlowTable:
                     return True
         return False
 
-    def insert(self, lo: int, hi: int, ts: float,
-               gc_now: Optional[float] = None) -> None:
+    def insert(self, lo: int, hi: int, ts: float) -> None:
         """Insert or refresh the key with stamp ``ts``.
 
-        ``gc_now`` bounds garbage collection: entries are only reclaimed
-        (purged, dropped on grow, or treated as free slots) when expired
-        relative to ``gc_now`` rather than ``ts``.  Batch replays pass the
-        window start so an insert stamped late in a window can never evict
-        an entry that an earlier lookup in the same window still considers
-        live; the scalar path leaves it at the default (``ts``).
+        Garbage collection runs on the same clock: entries expired at
+        ``ts`` are reclaimed (treated as free slots, purged, or dropped on
+        grow) as the insert needs room.
         """
-        gc_now = ts if gc_now is None else min(gc_now, ts)
         self.inserts += 1
-        self._insert(lo, hi, ts, gc_now)
+        self._insert(lo, hi, ts, ts)
         if self._occupied >= self._grow_at * self.capacity:
-            self._purge_expired(gc_now)
+            self._purge_expired(ts)
             if self._occupied >= self._grow_at * self.capacity:
-                self._grow(gc_now, cause="utilization")
+                self._grow(ts, cause="utilization")
 
-    def _insert(self, lo: int, hi: int, ts: float, gc_now: float) -> None:
-        cutoff = gc_now - self._lifetime
+    def _insert(self, lo: int, hi: int, ts: float, now: float) -> None:
+        """Place the key stamped ``ts``, reclaiming entries expired at
+        ``now`` (``ts`` itself, or the clock of the grow rehashing it)."""
+        cutoff = now - self._lifetime
         b1, tag = self._bucket_and_tag(lo, hi)
         b2 = b1 ^ tag
         klo, khi, stamp = self._key_lo, self._key_hi, self._stamp
@@ -342,8 +335,8 @@ class CuckooFlowTable:
         # the stalest candidate slot (conservative: evicts the entry closest
         # to expiry).
         if self._order < self._max_order:
-            self._grow(gc_now, cause="pressure")
-            self._insert(lo, hi, ts, gc_now)
+            self._grow(now, cause="pressure")
+            self._insert(lo, hi, ts, now)
             return
         self.overwrites += 1
         rows = np.concatenate([stamp[b1], stamp[b2]])
@@ -436,7 +429,6 @@ class CuckooFlowTable:
         return found
 
     def insert_batch(self, lo: np.ndarray, hi: np.ndarray, ts: np.ndarray,
-                     gc_now: Optional[float] = None,
                      buckets: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                      until_order: Optional[int] = None) -> int:
         """Insert keys in array order, bit-identical to sequential
@@ -447,26 +439,23 @@ class CuckooFlowTable:
         writes, and an insert the resolution cannot place exactly goes
         through the scalar :meth:`insert`.
 
-        ``gc_now`` is forwarded to every :meth:`insert` — windowed replays
-        pass the window start so collection stays conservative across the
-        whole batch (see :meth:`insert`).  ``buckets`` may pass
-        :meth:`bucket_pairs` of the same keys at the current order.  With
-        ``until_order`` the batch stops right after the insert that grows
-        the table to that order (none if it is there already)."""
+        ``buckets`` may pass :meth:`bucket_pairs` of the same keys at the
+        current order.  With ``until_order`` the batch stops right after
+        the insert that grows the table to that order (none if it is there
+        already)."""
         return self._insert_many(np.ascontiguousarray(lo, dtype=np.uint64),
                                  np.ascontiguousarray(hi, dtype=np.uint64),
                                  np.ascontiguousarray(ts, dtype=np.float64),
-                                 gc_now, buckets, rehash=False,
-                                 until_order=until_order)
+                                 buckets, until_order=until_order)
 
-    def _insert_many(self, lo, hi, ts, gc_now, buckets, rehash,
-                     until_order=None) -> int:
+    def _insert_many(self, lo, hi, ts, buckets, until_order=None,
+                     rehash_at=None) -> int:
         """The batch engine behind :meth:`insert_batch` and :meth:`_grow`.
 
-        With ``rehash`` the keys are moved into a grown table, as the
-        scalar ``_insert`` loop would: ``gc_now`` is the one fixed
-        collection clock, ``inserts`` is not counted and the growth
-        threshold is not checked."""
+        With ``rehash_at`` the keys are moved into a grown table, as the
+        scalar ``_insert`` loop would at that one fixed collection clock:
+        ``inserts`` is not counted and the growth threshold is not
+        checked."""
         if until_order is not None and self._order >= until_order:
             return 0
         n = len(lo)
@@ -486,10 +475,10 @@ class CuckooFlowTable:
             window = min(_MAX_WINDOW, max(_MIN_WINDOW, self.num_buckets >> 3))
             end = min(start + window, n)
             start += self._walk(lo[start:end], hi[start:end], ts[start:end],
-                                b1[start:end], b2[start:end], gc_now, rehash)
+                                b1[start:end], b2[start:end], rehash_at)
         return done + start
 
-    def _walk(self, lo, hi, ts, b1, b2, gc_now, rehash) -> int:
+    def _walk(self, lo, hi, ts, b1, b2, rehash_at) -> int:
         """Resolve a window of inserts, then apply them in order; return
         how many were applied (at least one).
 
@@ -501,7 +490,8 @@ class CuckooFlowTable:
         early after a purge or grow (the layout changed under the whole
         window) or once most of what is left is marked."""
         target, placed, fills, blocked, n = self._resolve(
-            lo, hi, ts, b1, b2, gc_now, rehash)
+            lo, hi, ts, b1, b2, rehash_at)
+        rehash = rehash_at is not None
         slots = self._slots
         limit = self._grow_at * self.capacity
         epoch = self._epoch
@@ -541,9 +531,10 @@ class CuckooFlowTable:
                 return n
             self._path = ()
             if rehash:
-                self._insert(int(lo[nxt]), int(hi[nxt]), float(ts[nxt]), gc_now)
+                self._insert(int(lo[nxt]), int(hi[nxt]), float(ts[nxt]),
+                             rehash_at)
             else:
-                self.insert(int(lo[nxt]), int(hi[nxt]), float(ts[nxt]), gc_now)
+                self.insert(int(lo[nxt]), int(hi[nxt]), float(ts[nxt]))
             ahead -= int(invalid[nxt])
             pos = nxt + 1
             if self._epoch != epoch:
@@ -559,7 +550,7 @@ class CuckooFlowTable:
                 if 2 * ahead > n - pos:
                     return pos
 
-    def _resolve(self, lo, hi, ts, b1, b2, gc_now, rehash):
+    def _resolve(self, lo, hi, ts, b1, b2, rehash_at):
         """Where each insert of a window lands when the window is applied
         in order to today's layout.
 
@@ -581,6 +572,7 @@ class CuckooFlowTable:
         took, and a placement into a bucket where an earlier write could
         turn a slot between free and live for it."""
         n = len(lo)
+        rehash = rehash_at is not None
         slots = self._slots
         positions = np.arange(n)
         span = np.arange(slots)
@@ -612,10 +604,9 @@ class CuckooFlowTable:
             new = positions
         repeat = first != positions
         if rehash:
-            cutoff = np.full(len(new), gc_now - self._lifetime)
+            cutoff = np.full(len(new), rehash_at - self._lifetime)
         else:
-            cutoff = (ts[new] if gc_now is None
-                      else np.minimum(gc_now, ts[new])) - self._lifetime
+            cutoff = ts[new] - self._lifetime
         pick, settled = _propose(cand[new], cand_stamp[new] <= cutoff[:, None])
         target[new] = pick
         n = len(lo) if settled == len(new) else int(new[settled])
@@ -664,8 +655,8 @@ class CuckooFlowTable:
         # Exact rehash of every live entry, in the old layout's order;
         # expired ones are garbage-collected by the move.
         live = old_stamp > now - self._lifetime
-        self._insert_many(old_lo[live], old_hi[live], old_stamp[live], now,
-                          None, rehash=True)
+        self._insert_many(old_lo[live], old_hi[live], old_stamp[live], None,
+                          rehash_at=now)
 
     def grow_for_pressure(self, now: float, cause: str = "fpr") -> bool:
         """Externally requested doubling (e.g. measured-FPR trigger).

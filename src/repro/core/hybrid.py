@@ -25,9 +25,13 @@ Semantics (chosen so verification is identical on every batch path):
 The wrapper composes over a
 :class:`~repro.core.bitmap_filter.BitmapFilter` and delegates the whole
 degraded-mode/snapshot control surface, so the fault injectors drive it
-unchanged.  Verification itself is deterministic and identical across
-scalar, exact-batch and windowed-batch paths: batch lookups replay packet
-order, and lookups never mutate the table.
+unchanged.  Verification itself is deterministic and has one order on
+every path: batch inserts and lookups replay packet order exactly as the
+scalar path does, and lookups never mutate the table.  ``exact`` only
+chooses the inner filter's batch mode, so the ``exact=False`` mask is the
+inner windowed mask confirmed in packet order — still a superset of the
+exact mask, and never an admit of a flow the table learns later in the
+batch.
 
 Telemetry: ``repro_hybrid_confirmed_total`` / ``repro_hybrid_denied_total`` /
 ``repro_hybrid_inserts_total`` / ``repro_hybrid_resizes_total`` counters plus
@@ -292,6 +296,8 @@ class HybridVerifiedFilter(PacketFilterMixin):
 
     def process_batch(self, packets: PacketArray, exact: bool = True, *,
                       directions: Optional[np.ndarray] = None) -> np.ndarray:
+        """Inner batch verdicts (``exact`` picks its batch mode), with
+        every in-scope admit past warm-up confirmed in packet order."""
         inner = self._inner
         if directions is None:
             directions = packets.directions(inner.protected)
@@ -313,10 +319,7 @@ class HybridVerifiedFilter(PacketFilterMixin):
         ts = packets.ts
         insert_mask = outgoing & scope
         check_mask = incoming & mask & scope & (ts >= warmup_until)
-        if exact:
-            self._verify_exact(lo, hi, ts, insert_mask, check_mask, mask)
-        else:
-            self._verify_windowed(lo, hi, ts, insert_mask, check_mask, mask)
+        self._verify_exact(lo, hi, ts, insert_mask, check_mask, mask)
         if self._tel is not None:
             self._flush_telemetry()
         return mask
@@ -455,56 +458,6 @@ class HybridVerifiedFilter(PacketFilterMixin):
                 self.denied += 1
                 self._note_lookups(1, 1, ts_s[j])
                 mask[idx_l[j]] = False
-
-    def _verify_windowed(self, lo, hi, ts, insert_mask, check_mask, mask) -> None:
-        """Marks-first per rotation window, mirroring the inner windowed
-        batch: within each window every insert lands before any lookup, so a
-        lookup sees at least the inserts the exact interleave gave it and the
-        windowed PASS mask stays a superset of the exact one.  Inserts pass
-        the window start as the garbage-collection clock so a late-stamped
-        insert can never purge (or reuse the slot of) an entry that a lookup
-        in the same or a later window still considers live — without that,
-        batch-order inserts spanning more than ``lifetime`` seconds would
-        evict entries out from under earlier-timestamped lookups."""
-        act = np.nonzero(insert_mask | check_mask)[0]
-        if len(act) == 0:
-            return
-        dt = self._inner.config.rotation_interval
-        wid = np.floor_divide(ts[act], dt).astype(np.int64)
-        # Window-major, batch order within each window (stable sort), so
-        # one pass over the active ops replaces a full-length mask scan
-        # per rotation window.
-        order = np.argsort(wid, kind="stable")
-        s_act = act[order]
-        s_wid = wid[order]
-        s_ins = insert_mask[s_act]
-        bounds = np.nonzero(np.diff(s_wid))[0] + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(s_act)]])
-        table = self.table
-        checked = 0
-        denied = 0
-        last_ts = 0.0
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            seg_ins = s_ins[start:end]
-            ins = s_act[start:end][seg_ins]
-            if len(ins):
-                table.insert_batch(lo[ins], hi[ins], ts[ins],
-                                   gc_now=float(s_wid[start]) * dt)
-            chk = s_act[start:end][~seg_ins]
-            if len(chk) == 0:
-                continue
-            ok = table.contains_batch(lo[chk], hi[chk], ts[chk])
-            misses = chk[~ok]
-            checked += len(chk)
-            denied += len(misses)
-            if len(misses):
-                mask[misses] = False
-            last_ts = float(ts[chk[-1]])
-        self.confirmed += checked - denied
-        self.denied += denied
-        if checked:
-            self._note_lookups(checked, denied, last_ts)
 
     # -- stats -----------------------------------------------------------------
 

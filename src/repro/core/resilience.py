@@ -11,9 +11,10 @@ classic ones:
 - **fail-closed** — drop all inbound; the network is protected but
   unreachable (security over availability).
 
-:class:`FailPolicy` names the choice; both :class:`~repro.core.bitmap_filter.BitmapFilter`
-(for its own down state) and :class:`~repro.sim.router.EdgeRouter` (for
-filter exceptions) consume it.  The chaos experiment
+:class:`FailPolicy` names the choice;
+:class:`~repro.core.bitmap_filter.BitmapFilter` consumes it for its own
+down state, and :class:`~repro.fleet.router.FleetRouter` for the shares of
+nodes whose circuit breaker is open.  The chaos experiment
 (``python -m repro resilience``) measures the cost of each choice.
 """
 
@@ -28,6 +29,3 @@ class FailPolicy(enum.Enum):
     FAIL_OPEN = "fail_open"      # admit all inbound (availability wins)
     FAIL_CLOSED = "fail_closed"  # drop all inbound (security wins)
 
-
-class FilterUnavailableError(RuntimeError):
-    """Raised when an operation requires a live filter but it is down."""

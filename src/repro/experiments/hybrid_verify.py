@@ -9,7 +9,8 @@ construction contains exactly the live outgoing flows — so on the verified
 subset the false-admit rate collapses to ~0 while legitimate traffic is
 untouched.
 
-Four scenarios per run, bitmap vs hybrid on the same trace:
+Four scenarios per run, bitmap vs hybrid on the same trace, both on the
+order-exact batch path (Algorithm 2's verdicts):
 
 - **paper band** — the scale's own bitmap order (utilization in the
   paper's few-percent band) under the random-scan attack: penetrations
@@ -96,11 +97,11 @@ def _scenario(label: str, order: int, scale: ExperimentScale,
               mixed: Trace) -> HybridScenario:
     config = scale.bitmap_config(order=order)
     bitmap = build_filter(config, mixed.protected)
-    bitmap_run = run_filter_on_trace(bitmap, mixed, exact=False)
+    bitmap_run = run_filter_on_trace(bitmap, mixed)
 
     spec = VerifySpec(initial_order=10, resize_fpr=0.01)
     hybrid = build_filter(config, mixed.protected, layers=(spec,))
-    hybrid_run = run_filter_on_trace(hybrid, mixed, exact=False)
+    hybrid_run = run_filter_on_trace(hybrid, mixed)
 
     return HybridScenario(
         label=label,

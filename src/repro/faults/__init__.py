@@ -33,7 +33,6 @@ from repro.faults.injectors import (
     RotationStall,
     TraceGap,
     flip_random_bits,
-    perturbed_stream,
 )
 from repro.faults.socket_chaos import CHAOS_MODES, ChaosTcpProxy
 
@@ -51,6 +50,5 @@ __all__ = [
     "RotationStall",
     "TraceGap",
     "flip_random_bits",
-    "perturbed_stream",
     "run_with_faults",
 ]

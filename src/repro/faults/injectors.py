@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.bitmap import Bitmap
 from repro.core.bitmap_filter import BitmapFilter
 from repro.core.filter_api import build_filter
-from repro.net.packet import Packet, PacketArray
+from repro.net.packet import PacketArray
 from repro.traffic.trace import Trace
 
 
@@ -245,10 +245,7 @@ class PacketReorder(FaultInjector):
 
     Delivery order is what the filter sees, so delayed packets get their
     delivery timestamp and the stream is re-sorted.  Late replies whose
-    marks expired in the meantime become benign drops.  (For a *raw*
-    out-of-order stream — timestamps unchanged, positions shuffled — feed
-    :func:`perturbed_stream` to a tolerance-mode
-    :class:`~repro.sim.engine.SimulationEngine` instead.)
+    marks expired in the meantime become benign drops.
     """
 
     def __init__(self, fraction: float, max_delay: float, seed: int = 0x0DD5):
@@ -329,22 +326,3 @@ class TraceGap(FaultInjector):
         metadata["gap_lost_packets"] = int((~keep).sum())
         return Trace(trace.packets[keep], trace.protected, metadata)
 
-
-def perturbed_stream(packets: PacketArray, fraction: float,
-                     max_displacement: int, seed: int = 0x0DD5) -> List[Packet]:
-    """An out-of-order delivery of ``packets``: timestamps intact, positions not.
-
-    A sampled fraction of packets is displaced up to ``max_displacement``
-    positions later in the stream, producing exactly the input a strict
-    :class:`~repro.sim.engine.SimulationEngine` rejects and a
-    tolerance-mode engine accepts.
-    """
-    if max_displacement < 1:
-        raise ValueError("max displacement must be at least 1")
-    rng = np.random.default_rng(seed)
-    order = list(range(len(packets)))
-    for i in range(len(order)):
-        if rng.random() < fraction:
-            j = min(i + 1 + int(rng.integers(max_displacement)), len(order) - 1)
-            order.insert(j, order.pop(i))
-    return [packets.packet(i) for i in order]

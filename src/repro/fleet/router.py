@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.resilience import FailPolicy
-from repro.fleet.health import BreakerState, CircuitBreaker, HealthChecker
+from repro.fleet.health import BreakerState, CircuitBreaker
 from repro.fleet.ring import HashRing
 from repro.net.address import AddressSpace
 from repro.net.packet import DIRECTION_INCOMING, PacketArray
@@ -240,16 +240,6 @@ class FleetRouter:
             client.close()
 
     # -- health ---------------------------------------------------------------
-
-    def health_checker(self, *, interval: float = 1.0,
-                       probe: Optional[Callable[[str], dict]] = None,
-                       probe_timeout: float = 2.0) -> HealthChecker:
-        """A checker over this fleet's breakers and ``/healthz`` URLs."""
-        urls = {name: spec.http_url.rstrip("/") + "/healthz"
-                for name, spec in self._specs.items()
-                if spec.http_url}
-        return HealthChecker(self._breakers, urls=urls, probe=probe,
-                             interval=interval, probe_timeout=probe_timeout)
 
     def breaker_states(self) -> Dict[str, BreakerState]:
         return {name: breaker.state

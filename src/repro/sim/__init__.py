@@ -1,9 +1,5 @@
-"""Trace-driven simulation: engine, routers, topology, evaluation pipeline.
+"""Trace-driven simulation: topology, deployment, evaluation pipeline.
 
-- :mod:`repro.sim.engine` — a discrete-event timeline (heap of timer events
-  interleaved with packet streams).
-- :mod:`repro.sim.router` — an edge-router model wiring a filter, link
-  accounting, and APD indicators together.
 - :mod:`repro.sim.topology` — the ISP graph of Figure 1 and filter-placement
   validation.
 - :mod:`repro.sim.pipeline` — the experiment harness: trace -> filter ->
@@ -11,20 +7,15 @@
 - :mod:`repro.sim.metrics` — confusion counts and time series.
 """
 
-from repro.sim.engine import SimulationEngine, TimerEvent
 from repro.sim.metrics import ConfusionCounts, FilterRunResult, PerSecondSeries
 from repro.sim.pipeline import run_filter_on_trace
-from repro.sim.router import EdgeRouter
 from repro.sim.topology import IspTopology, NodeKind
 
 __all__ = [
-    "SimulationEngine",
-    "TimerEvent",
     "ConfusionCounts",
     "FilterRunResult",
     "PerSecondSeries",
     "run_filter_on_trace",
-    "EdgeRouter",
     "IspTopology",
     "NodeKind",
 ]

@@ -30,8 +30,6 @@ from repro.core.persistence import save_filter
 from repro.core.resilience import FailPolicy
 from tests.conftest import make_reply, make_request
 
-pytestmark = pytest.mark.core
-
 CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
                             rotation_interval=5.0)
 

@@ -3,7 +3,7 @@
 The table's one-line contract: a key inserted at ``t`` is found by any
 lookup in ``[t, t + lifetime)`` and by none after, exactly — no false
 positives ever, no false negatives while live.  Everything else here
-(growth, kicking, the ``gc_now`` clock, snapshots) exists to keep that
+(growth, kicking, expiry-driven reclaim, snapshots) exists to keep that
 contract under pressure.
 """
 
@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.cuckoo import CuckooFlowTable, pack_flow, pack_flows_vec
-
-pytestmark = pytest.mark.core
 
 
 def key(i: int):
@@ -146,28 +144,9 @@ class TestGrowthAndPressure:
         assert table.grow_for_pressure(0.0) is False   # ceiling
         assert table.grow_causes["fpr"] == 1
 
-
-class TestGcClock:
-    def test_late_stamp_does_not_evict_live_entries(self):
-        """A batch replay inserts with stamps far in the future of the
-        lookups still pending for the same window; ``gc_now`` pins the
-        collection clock so those lookups still see their entries."""
-        table = CuckooFlowTable(order=2, slots_per_bucket=1, lifetime=5.0,
-                                max_order=8, grow_at=1.0)
-        early = [key(i) for i in range(6)]
-        for lo, hi in early:
-            table.insert(lo, hi, 0.0, gc_now=0.0)
-        # Late-stamped inserts, GC clock held at the window start: nothing
-        # live at t=0 may be reclaimed to make room.
-        for i in range(6, 40):
-            lo, hi = key(i)
-            table.insert(lo, hi, 1000.0, gc_now=0.0)
-        for lo, hi in early:
-            assert table.contains(lo, hi, 0.1)
-
-    def test_default_gc_now_is_the_stamp(self):
-        """Scalar inserts collect relative to their own timestamp — the
-        entry inserted at t=0 with lifetime 5 is fair game at t=1000."""
+    def test_inserts_collect_at_their_own_stamp(self):
+        """Inserts reclaim relative to their own timestamp — the entry
+        inserted at t=0 with lifetime 5 is fair game at t=1000."""
         table = CuckooFlowTable(order=2, slots_per_bucket=1, lifetime=5.0,
                                 max_order=2, grow_at=1.0)
         lo0, hi0 = key(0)
@@ -179,18 +158,6 @@ class TestGcClock:
         assert not table.contains(lo0, hi0, 1000.0)
         assert table.occupancy <= table.capacity
         assert occupied_before <= table.capacity
-
-    def test_gc_now_never_exceeds_stamp(self):
-        """gc_now is clamped to min(gc_now, ts): passing a *later* clock
-        must not let an insert collect entries its own stamp considers
-        live."""
-        table = CuckooFlowTable(order=2, slots_per_bucket=1, lifetime=5.0,
-                                max_order=2, grow_at=1.0)
-        lo0, hi0 = key(0)
-        table.insert(lo0, hi0, 0.0)
-        lo1, hi1 = key(1)
-        table.insert(lo1, hi1, 1.0, gc_now=1e6)   # clamped to ts=1.0
-        assert table.contains(lo0, hi0, 0.5)
 
 
 class TestSnapshotAndCopy:

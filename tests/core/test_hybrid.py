@@ -10,7 +10,6 @@ table intact.
 import io
 
 import numpy as np
-import pytest
 
 from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
 from repro.core.cuckoo import pack_flow
@@ -25,8 +24,6 @@ from repro.core.persistence import load_filter, save_filter
 from repro.net.packet import PacketArray
 from repro.telemetry import MetricsRegistry, use_registry
 from tests.conftest import make_reply, make_request
-
-pytestmark = pytest.mark.core
 
 CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
                             rotation_interval=5.0)
@@ -155,6 +152,23 @@ class TestBatchPaths:
         exact = make_hybrid(protected).process_batch(batch, exact=True)
         windowed = make_hybrid(protected).process_batch(batch, exact=False)
         assert not (exact & ~windowed).any()
+
+    def test_windowed_denies_a_flow_opened_later_in_the_window(
+            self, protected, client_addr, server_addr):
+        """The inner windowed mask marks a whole rotation window before
+        testing it, so it admits an unsolicited packet whose flow the
+        client opens later in the same window; the table is confirmed in
+        packet order, so the hybrid still denies it."""
+        request = make_request(3.0, client_addr, server_addr)
+        early = make_reply(request, 1.0)
+        batch = PacketArray.from_packets([early, request])
+        bitmap = BitmapFilter(CONFIG, protected)
+        assert bitmap.process_batch(batch, exact=False).tolist() == [True,
+                                                                     True]
+        filt = make_hybrid(protected)
+        assert filt.process_batch(batch, exact=False).tolist() == [False,
+                                                                   True]
+        assert (filt.confirmed, filt.denied) == (0, 1)
 
     def test_stats_move_denials_to_dropped(self, protected, client_addr,
                                            server_addr):

@@ -83,7 +83,12 @@ def test_parallel_windowed_equals_serial_windowed(trace, backend):
     the *same* approximation as the single filter, verified on a batch
     where the approximation provably diverges (replies arriving just
     before their own outgoing mark inside one rotation window, which the
-    windowed path admits and the exact path drops)."""
+    windowed path admits and the exact path drops).  The verification
+    tier confirms in packet order and denies those, so the batch also
+    holds replies whose bitmap mark has expired but whose table entry
+    has not, each just before its flow's next outgoing packet in the same
+    window: only the windowed path admits them, with or without the
+    tier."""
     protected = trace.protected
     packets = []
     for flow in range(24):
@@ -97,6 +102,17 @@ def test_parallel_windowed_equals_serial_windowed(trace, backend):
                               server, 80, TcpFlags.ACK))  # the mark
         packets.append(Packet(t0 + 0.10, IPPROTO_TCP, server, 80, client,
                               sport, TcpFlags.ACK))   # reply after the mark
+    for flow in range(4):
+        client = protected.networks[flow % 2].host(60 + flow)
+        server = 0x0A000200 + flow
+        sport = 41_000 + flow
+        t0 = 1.9 + 2.0 * flow  # late in a rotation window
+        packets.append(Packet(t0, IPPROTO_TCP, client, sport, server, 80,
+                              TcpFlags.ACK))          # the first mark
+        packets.append(Packet(t0 + 6.2, IPPROTO_TCP, server, 80, client,
+                              sport, TcpFlags.ACK))   # bitmap mark expired
+        packets.append(Packet(t0 + 6.25, IPPROTO_TCP, client, sport,
+                              server, 80, TcpFlags.ACK))  # the next mark
     packets.sort(key=lambda pkt: pkt.ts)
     batch = PacketArray.from_packets(packets)
 

@@ -14,7 +14,6 @@ from repro.faults.injectors import (
 )
 from repro.net.packet import PacketArray
 from repro.sim.pipeline import run_filter_on_trace
-from repro.sim.router import EdgeRouter
 from repro.telemetry.registry import use_registry
 from tests.conftest import make_reply, make_request
 
@@ -125,34 +124,6 @@ class TestRotationStall:
         # The naive late timer rotated once and rescheduled from now.
         assert bitmap_filter.advance_to(21.9) == 0
         assert bitmap_filter.advance_to(22.0) == 1
-
-
-class _RaisingFilter:
-    def process(self, pkt):
-        raise RuntimeError("filter wedged")
-
-
-class TestEdgeRouterFailPolicy:
-    def test_fail_closed_drops_inbound_on_filter_error(
-        self, protected, client_addr, server_addr
-    ):
-        router = EdgeRouter("r", protected, _RaisingFilter(),
-                            fail_policy=FailPolicy.FAIL_CLOSED)
-        request = make_request(1.0, client_addr, server_addr)
-        assert router.forward(request) is Decision.PASS  # outbound unaffected
-        assert router.forward(make_reply(request, 1.5)) is Decision.DROP
-        assert router.counters.filter_errors == 2
-        assert router.counters.dropped_in == 1
-
-    def test_fail_open_admits_inbound_on_filter_error(
-        self, protected, client_addr, server_addr
-    ):
-        router = EdgeRouter("r", protected, _RaisingFilter(),
-                            fail_policy=FailPolicy.FAIL_OPEN)
-        reply = make_reply(make_request(1.0, client_addr, server_addr), 1.5)
-        assert router.forward(reply) is Decision.PASS
-        assert router.counters.filter_errors == 1
-        assert router.counters.dropped_in == 0
 
 
 class TestHarness:

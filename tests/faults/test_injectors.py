@@ -11,7 +11,6 @@ from repro.faults.injectors import (
     RotationStall,
     TraceGap,
     flip_random_bits,
-    perturbed_stream,
 )
 
 
@@ -94,17 +93,6 @@ class TestBitFlips:
         assert event.ts == 5.0
         event.apply(bitmap_filter, 5.0)
         assert flips.flipped > 0
-
-
-class TestPerturbedStream:
-    def test_timestamps_preserved_but_out_of_order(self, tiny_trace):
-        packets = tiny_trace.packets[:500]
-        stream = perturbed_stream(packets, fraction=0.1, max_displacement=5,
-                                  seed=1)
-        assert len(stream) == len(packets)
-        ts = [pkt.ts for pkt in stream]
-        assert sorted(ts) == sorted(packets.ts.tolist())
-        assert any(a > b for a, b in zip(ts, ts[1:]))
 
 
 class TestValidation:

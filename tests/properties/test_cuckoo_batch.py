@@ -50,7 +50,7 @@ def assert_same_table(batch, scalar):
     assert batch.grow_causes == scalar.grow_causes
 
 
-def replay(geometry, lo, hi, ts, gc_now, warm=0):
+def replay(geometry, lo, hi, ts, warm=0):
     """(batch table, scalar reference) after the same inserts."""
     scalar = ScalarRehashTable(**geometry)
     batch = CuckooFlowTable(**geometry)
@@ -61,8 +61,8 @@ def replay(geometry, lo, hi, ts, gc_now, warm=0):
         scalar.insert(*key, 0.1 * i - 5.0)
         batch.insert(*key, 0.1 * i - 5.0)
     for i in range(len(lo)):
-        scalar.insert(int(lo[i]), int(hi[i]), float(ts[i]), gc_now)
-    batch.insert_batch(lo, hi, ts, gc_now)
+        scalar.insert(int(lo[i]), int(hi[i]), float(ts[i]))
+    batch.insert_batch(lo, hi, ts)
     return batch, scalar
 
 
@@ -95,14 +95,11 @@ def insert_scripts(draw):
     return lo, hi, np.cumsum(gaps)
 
 
-@given(geometry=tables(), script=insert_scripts(),
-       warm=st.integers(0, 60), gc_lag=st.one_of(st.none(),
-                                                  st.floats(0.0, 3.0)))
+@given(geometry=tables(), script=insert_scripts(), warm=st.integers(0, 60))
 @settings(max_examples=200, deadline=None)
-def test_insert_batch_matches_scalar_inserts(geometry, script, warm, gc_lag):
+def test_insert_batch_matches_scalar_inserts(geometry, script, warm):
     lo, hi, ts = script
-    gc_now = None if gc_lag is None else float(ts[0]) - gc_lag
-    assert_same_table(*replay(geometry, lo, hi, ts, gc_now, warm))
+    assert_same_table(*replay(geometry, lo, hi, ts, warm))
 
 
 @st.composite
@@ -150,13 +147,11 @@ def high_load(draw):
             np.array(hi, dtype=np.uint64), ts)
 
 
-@given(case=high_load(), gc_lag=st.one_of(st.none(), st.floats(0.0, 2.0)))
+@given(case=high_load())
 @settings(max_examples=60, deadline=None)
-def test_insert_batch_matches_scalar_under_high_load(case, gc_lag):
+def test_insert_batch_matches_scalar_under_high_load(case):
     geometry, lo, hi, ts = case
-    gc_now = None if gc_lag is None else float(ts[0]) - gc_lag
-    assert_same_table(*replay(geometry, lo, hi, ts, gc_now))
-
+    assert_same_table(*replay(geometry, lo, hi, ts))
 
 
 class CountingTable(CuckooFlowTable):

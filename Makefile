@@ -52,10 +52,11 @@ experiments:
 figures:
 	$(PYTHON) -m repro export --out figures
 
+# Run every example script; works without `make install`.
 examples:
 	@for ex in examples/*.py; do \
 		echo "== $$ex =="; \
-		$(PYTHON) $$ex || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
 
 clean:

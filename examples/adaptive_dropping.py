@@ -15,15 +15,15 @@ from repro.core.apd import (
     PacketRatioIndicator,
 )
 from repro.attacks.ddos import udp_flood
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.traffic.generator import generate_client_trace
 from repro.traffic.trace import Trace
 
 
 def run_phase_analysis(name, indicator_factory, mixed, flood_window):
     apd = AdaptiveDroppingPolicy(indicator_factory(), seed=1)
-    config = BitmapFilterConfig(order=14, num_vectors=4, num_hashes=3,
-                                rotation_interval=5.0)
+    config = FilterConfig(order=14, num_vectors=4, num_hashes=3,
+                          rotation_interval=5.0)
     filt = BitmapFilter(config, mixed.protected, apd=apd)
 
     phases = {"quiet (before)": [0, 0], "flood": [0, 0], "quiet (after)": [0, 0]}

@@ -10,7 +10,7 @@ Run:  python examples/campus_network_defense.py
 """
 
 from repro.attacks.scanner import RandomScanAttack, ScanConfig
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.sim.pipeline import run_filter_on_trace
 from repro.spi.hashlist import HashListFilter
 from repro.traffic.generator import generate_client_trace
@@ -33,8 +33,8 @@ def main() -> None:
 
     # A bitmap filter scaled to this workload (see DESIGN.md section 5) and
     # an SPI baseline with the 240s TIME_WAIT timeout of Section 4.3.
-    bitmap_cfg = BitmapFilterConfig(order=15, num_vectors=4, num_hashes=3,
-                                    rotation_interval=5.0)
+    bitmap_cfg = FilterConfig(order=15, num_vectors=4, num_hashes=3,
+                              rotation_interval=5.0)
     bitmap = BitmapFilter(bitmap_cfg, mixed.protected)
     spi = HashListFilter(mixed.protected, idle_timeout=240.0)
 

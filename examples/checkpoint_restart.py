@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.core.persistence import load_filter, save_filter
 from repro.traffic.generator import generate_client_trace
 
@@ -37,8 +37,8 @@ def main() -> None:
     restart_at = 45.0
     first_half = packets[packets.ts < restart_at]
 
-    config = BitmapFilterConfig(order=15, num_vectors=4, num_hashes=3,
-                                rotation_interval=5.0)
+    config = FilterConfig(order=15, num_vectors=4, num_hashes=3,
+                          rotation_interval=5.0)
 
     # Warm a filter on the first half of the day.
     filt = BitmapFilter(config, trace.protected)

@@ -11,7 +11,7 @@ data connection from *any* source port.
 Run:  python examples/ftp_hole_punching.py
 """
 
-from repro import AddressSpace, BitmapFilter, BitmapFilterConfig, Packet, TcpFlags
+from repro import AddressSpace, BitmapFilter, FilterConfig, Packet, TcpFlags
 from repro.core.hole_punch import HolePuncher
 from repro.net.address import IPv4Address
 from repro.net.protocols import IPPROTO_TCP, PORT_FTP, PORT_FTP_DATA
@@ -19,7 +19,7 @@ from repro.net.protocols import IPPROTO_TCP, PORT_FTP, PORT_FTP_DATA
 
 def main() -> None:
     protected = AddressSpace.class_c_block("172.16.0.0", 6)
-    filt = BitmapFilter(BitmapFilterConfig.paper_default(), protected)
+    filt = BitmapFilter(FilterConfig.paper_default(), protected)
 
     client = int(IPv4Address.parse("172.16.1.50"))
     ftp_server = int(IPv4Address.parse("203.0.113.21"))

@@ -10,7 +10,7 @@ Run:  python examples/isp_deployment.py
 """
 
 from repro.attacks.scanner import RandomScanAttack, ScanConfig
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import FilterConfig
 from repro.net.address import AddressSpace
 from repro.sim.deployment import FilterDeployment, union_address_space
 from repro.sim.metrics import score_run
@@ -51,8 +51,8 @@ def main() -> None:
         Trace(attack, combined_space, {"duration": 60.0}),
     )
 
-    config = BitmapFilterConfig(order=14, num_vectors=4, num_hashes=3,
-                                rotation_interval=5.0)
+    config = FilterConfig(order=14, num_vectors=4, num_hashes=3,
+                          rotation_interval=5.0)
 
     def evaluate(label, deployment):
         verdicts = deployment.process_batch(combined.packets, exact=True)

@@ -12,8 +12,8 @@ Run:  python examples/quickstart.py
 from repro import (
     AddressSpace,
     BitmapFilter,
-    BitmapFilterConfig,
     Decision,
+    FilterConfig,
     IPv4Address,
     Packet,
     TcpFlags,
@@ -27,7 +27,7 @@ def main() -> None:
     protected = AddressSpace.class_c_block("172.16.0.0", 6)
 
     # The paper's evaluation configuration: n=20, k=4, m=3, dt=5s.
-    config = BitmapFilterConfig.paper_default()
+    config = FilterConfig.paper_default()
     filt = BitmapFilter(config, protected)
     print(f"filter: {filt}")
     print(f"memory: {config.memory_bytes // 1024} KiB, Te = {config.expiry_timer:g}s\n")

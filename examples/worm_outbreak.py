@@ -11,7 +11,7 @@ Run:  python examples/worm_outbreak.py
 import numpy as np
 
 from repro.attacks.worm import WormModel, WormParameters
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.sim.pipeline import run_filter_on_trace
 from repro.traffic.generator import generate_client_trace
 from repro.traffic.trace import Trace
@@ -55,8 +55,8 @@ def main() -> None:
     mixed = trace.merged_with(Trace(scans, trace.protected,
                                     {"duration": trace.duration}))
     filt = BitmapFilter(
-        BitmapFilterConfig(order=15, num_vectors=4, num_hashes=3,
-                           rotation_interval=5.0),
+        FilterConfig(order=15, num_vectors=4, num_hashes=3,
+                     rotation_interval=5.0),
         trace.protected,
     )
     result = run_filter_on_trace(filt, mixed, exact=True)

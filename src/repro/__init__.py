@@ -18,10 +18,10 @@ The package is organized bottom-up:
 
 Quickstart::
 
-    from repro import BitmapFilter, BitmapFilterConfig, AddressSpace
+    from repro import BitmapFilter, FilterConfig, AddressSpace
 
     protected = AddressSpace.class_c_block("192.168.0.0", 6)
-    filt = BitmapFilter(BitmapFilterConfig.paper_default(), protected)
+    filt = BitmapFilter(FilterConfig.paper_default(), protected)
     verdict = filt.process(packet)     # Decision.PASS or Decision.DROP
 """
 
@@ -30,10 +30,10 @@ from repro.core import (
     BandwidthIndicator,
     Bitmap,
     BitmapFilter,
-    BitmapFilterConfig,
     BitmapParameters,
     BitVector,
     Decision,
+    FilterConfig,
     HashFamily,
     HolePuncher,
     PacketRatioIndicator,
@@ -62,10 +62,10 @@ __all__ = [
     "BandwidthIndicator",
     "Bitmap",
     "BitmapFilter",
-    "BitmapFilterConfig",
     "BitmapParameters",
     "BitVector",
     "Decision",
+    "FilterConfig",
     "HashFamily",
     "HolePuncher",
     "PacketRatioIndicator",

@@ -353,9 +353,11 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
     """
     import tempfile
     import time as _time
+    from dataclasses import replace
 
     import numpy as np
 
+    from repro.core.bitmap_filter import FilterConfig
     from repro.core.resilience import FailPolicy
     from repro.fleet import FleetManager, FleetRouter, NodeSpec, policy_verdicts
     from repro.serve.retry import RetryPolicy
@@ -416,18 +418,16 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
                            if (reconfig or add_node) else len(frames))
             reconfig_report = None
             add_report = None
-            old_fcfg = dict(info["filter"])
-            old_fcfg.pop("fail_policy")
+            # The fleet's running config, under this driver's fail policy.
+            old_config = FilterConfig.from_dict(
+                dict(info["filter"], fail_policy=fail_policy))
             began = _time.perf_counter()
             if reconfig or add_node:
                 masks = router.filter_batches(frames[:event_frame],
                                               window=args.window)
                 if reconfig:
-                    from repro.core.bitmap_filter import FilterConfig
-
-                    new_fcfg = dict(old_fcfg, order=reconfig)
                     reconfig_report = manager.rolling_reconfig(
-                        FilterConfig(**new_fcfg, fail_policy=fail_policy))
+                        replace(old_config, order=reconfig))
                 else:
                     add_report = manager.add_node(router)
                 masks += router.filter_batches(frames[event_frame:],
@@ -479,11 +479,10 @@ def _cmd_replay_fleet(args: argparse.Namespace) -> str:
                     "(clock=wall); run them with --clock packet to verify")
                 return "\n".join(lines)
             if reconfig_report is not None:
-                from repro.core.bitmap_filter import FilterConfig
                 from repro.sim.pipeline import run_filter_with_reconfig
 
                 reference = np.asarray(run_filter_with_reconfig(
-                    FilterConfig(**old_fcfg, fail_policy=fail_policy),
+                    old_config,
                     reconfig_report.config,
                     Trace(packets, trace.protected),
                     reconfig_report.rebuild_at,
@@ -571,17 +570,14 @@ def _offline_reference(info: dict, packets) -> "np.ndarray":
 
     from repro.core.bitmap_filter import FilterConfig
     from repro.core.filter_api import build_filter
-    from repro.core.resilience import FailPolicy
     from repro.net.address import AddressSpace
     from repro.sim.pipeline import run_filter_on_trace
     from repro.traffic.trace import Trace
 
-    # The self-description carries the whole stack (geometry + layers), so
-    # the twin reproduces a hybrid daemon's verification tier too.
-    fcfg = dict(info["filter"])
-    policy = FailPolicy(fcfg.pop("fail_policy"))
-    twin = build_filter(FilterConfig(**fcfg), AddressSpace(info["protected"]),
-                        fail_policy=policy)
+    # The self-description carries the whole stack (geometry, fail policy,
+    # layers), so the twin reproduces a hybrid daemon's verification tier.
+    twin = build_filter(FilterConfig.from_dict(info["filter"]),
+                        AddressSpace(info["protected"]))
     offline = run_filter_on_trace(
         twin, Trace(packets, AddressSpace(info["protected"])),
         exact=info["exact"])
@@ -635,21 +631,7 @@ def _cmd_replay_to(args: argparse.Namespace) -> str:
                 "(clock=wall), so offline replay is not comparable; "
                 "run the daemon with --clock packet to verify")
         else:
-            from repro.core.bitmap_filter import FilterConfig
-            from repro.core.filter_api import build_filter
-            from repro.core.resilience import FailPolicy
-            from repro.net.address import AddressSpace
-            from repro.sim.pipeline import run_filter_on_trace
-
-            fcfg = dict(info["filter"])
-            policy = FailPolicy(fcfg.pop("fail_policy"))
-            twin = build_filter(
-                FilterConfig(**fcfg), AddressSpace(info["protected"]),
-                fail_policy=policy)
-            offline = run_filter_on_trace(
-                twin, Trace(packets, AddressSpace(info["protected"])),
-                exact=info["exact"])
-            reference = np.asarray(offline.verdicts, dtype=bool)
+            reference = _offline_reference(info, packets)
             if args.repeat != 1:
                 lines.append("verify: SKIPPED — --repeat reuses filter "
                              "state across passes; verify with --repeat 1")

@@ -18,7 +18,7 @@ from repro.core.apd import (
     classify_signal_packet,
 )
 from repro.core.bitmap import Bitmap
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.bitvector import BitVector
 from repro.core.hashing import HashFamily
 from repro.core.hole_punch import HolePuncher, hole_punch_packet
@@ -41,7 +41,7 @@ __all__ = [
     "classify_signal_packet",
     "Bitmap",
     "BitmapFilter",
-    "BitmapFilterConfig",
+    "FilterConfig",
     "Decision",
     "BitVector",
     "HashFamily",

@@ -24,20 +24,18 @@
   degraded-mode gauges, all behind a single ``is not None`` guard so the
   default (null-registry) hot path pays nothing.
 
-Construction accepts either the legacy positional
-:class:`BitmapFilterConfig`, the keyword-only :class:`FilterConfig` (which
-also carries fail policy and warm-up grace), or bare keyword fields::
+Construction takes one keyword-only :class:`FilterConfig` (geometry plus
+the fail policy and warm-up grace) or its bare keyword fields::
 
-    BitmapFilter(config, protected)                      # legacy, still fine
-    BitmapFilter.from_config(FilterConfig(order=16), protected)
+    BitmapFilter(FilterConfig(order=16), protected)
     BitmapFilter(protected=protected, order=16, rotation_interval=2.5)
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from time import perf_counter
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -62,69 +60,35 @@ from repro.telemetry.registry import MetricsRegistry, get_registry
 
 __all__ = [
     "BitmapFilter",
-    "BitmapFilterConfig",
     "Decision",
     "FilterConfig",
     "FilterStats",
+    "GEOMETRY_FIELDS",
 ]
 
 
-@dataclass(frozen=True)
-class BitmapFilterConfig:
-    """Tunable parameters of a {k x n}-bitmap filter.
-
-    Defaults are the paper's evaluation setup (Section 4.3): a 512 KB
-    {4 x 20}-bitmap with 3 hash functions rotating every 5 seconds, i.e.
-    an expiry timer ``Te = k * dt = 20`` seconds.
-    """
-
-    order: int = 20              # n: each vector has 2**n bits
-    num_vectors: int = 4         # k: number of bloom-filter rows
-    num_hashes: int = 3          # m: hash functions
-    rotation_interval: float = 5.0  # dt seconds
-    seed: int = 0x5EED
-
-    def __post_init__(self) -> None:
-        if self.rotation_interval <= 0:
-            raise ValueError("rotation interval must be positive")
-        if self.num_hashes < 1:
-            raise ValueError("need at least one hash function")
-
-    @property
-    def expiry_timer(self) -> float:
-        """Te = k * dt — the nominal lifetime of a mark."""
-        return self.num_vectors * self.rotation_interval
-
-    @property
-    def guaranteed_window(self) -> float:
-        """(k-1) * dt — a mark is *guaranteed* visible for this long."""
-        return (self.num_vectors - 1) * self.rotation_interval
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.num_vectors * (1 << self.order) // 8
-
-    @classmethod
-    def paper_default(cls) -> "BitmapFilterConfig":
-        """The {4 x 20}-bitmap, m=3, dt=5 configuration of Section 4.3."""
-        return cls(order=20, num_vectors=4, num_hashes=3, rotation_interval=5.0)
+#: The fields that fix a filter's bit layout, hashing and layer stack.  A
+#: change to any of them cannot be applied to live bit state: it rebuilds
+#: the filter (see :class:`repro.core.session.FilterSession`).
+GEOMETRY_FIELDS = ("order", "num_vectors", "num_hashes", "rotation_interval",
+                   "seed", "layers")
 
 
 @dataclass(frozen=True, kw_only=True)
 class FilterConfig:
-    """Keyword-only construction config for a deployed bitmap filter.
+    """Keyword-only config of a deployed {k x n}-bitmap filter.
 
     Bundles the bitmap geometry (k, n), hash family (m, seed), rotation
-    timing (Δt), and the *operational* knobs the plain
-    :class:`BitmapFilterConfig` never carried — fail policy and warm-up
-    grace — into one frozen object.  All fields are keyword-only, so call
-    sites name every parameter::
+    timing (Δt), the layer stack, and the operational knobs — fail policy
+    and warm-up grace — into one frozen object.  Defaults are the paper's
+    evaluation setup (Section 4.3): a 512 KB {4 x 20}-bitmap with 3 hash
+    functions rotating every 5 seconds, i.e. ``Te = k * dt = 20`` s::
 
         FilterConfig(order=16, num_vectors=4, rotation_interval=2.5,
                      fail_policy=FailPolicy.FAIL_OPEN, warmup_grace=10.0)
 
-    Feed it to :meth:`BitmapFilter.from_config` (or pass it anywhere a
-    ``BitmapFilterConfig`` was accepted before).
+    :meth:`as_dict`/:meth:`from_dict` give its JSON form (daemon
+    self-description, SIGHUP reload file, fleet reconfig).
     """
 
     order: int = 20              # n: each vector has 2**n bits
@@ -145,9 +109,27 @@ class FilterConfig:
             raise ValueError("warm-up grace cannot be negative")
         object.__setattr__(self, "layers", normalize_layers(self.layers))
 
-    def layer_dicts(self) -> list:
-        """JSON-safe forms of :attr:`layers` (for describe()/reload)."""
-        return [spec.as_dict() for spec in self.layers]
+    def as_dict(self) -> dict:
+        """The JSON-safe form: fail policy by value, layers as spec dicts."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["fail_policy"] = self.fail_policy.value
+        data["layers"] = [spec.as_dict() for spec in self.layers]
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FilterConfig":
+        """The config a JSON object names (any subset of :meth:`as_dict`'s
+        keys); unknown keys raise ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError("a filter config must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"unknown filter config fields: {sorted(unknown)}")
+        data = dict(data)
+        if "fail_policy" in data:
+            data["fail_policy"] = FailPolicy(data["fail_policy"])
+        return cls(**data)
 
     @property
     def expiry_timer(self) -> float:
@@ -163,36 +145,17 @@ class FilterConfig:
     def memory_bytes(self) -> int:
         return self.num_vectors * (1 << self.order) // 8
 
-    def bitmap_config(self) -> BitmapFilterConfig:
-        """The plain bitmap-geometry view (what snapshots persist)."""
-        return BitmapFilterConfig(
-            order=self.order,
-            num_vectors=self.num_vectors,
-            num_hashes=self.num_hashes,
-            rotation_interval=self.rotation_interval,
-            seed=self.seed,
-        )
-
     @classmethod
-    def from_bitmap_config(cls, config: BitmapFilterConfig,
+    def from_bitmap_config(cls, config: "FilterConfig",
                            **extra) -> "FilterConfig":
-        """Lift a legacy :class:`BitmapFilterConfig` (plus operational extras)."""
-        return cls(
-            order=config.order,
-            num_vectors=config.num_vectors,
-            num_hashes=config.num_hashes,
-            rotation_interval=config.rotation_interval,
-            seed=config.seed,
-            **extra,
-        )
+        """``config`` with ``extra`` fields replaced; the entry point the
+        serve benchmark harness builds its daemon config through."""
+        return replace(config, **extra)
 
     @classmethod
     def paper_default(cls) -> "FilterConfig":
         """The {4 x 20}-bitmap, m=3, dt=5 configuration of Section 4.3."""
         return cls()
-
-
-AnyFilterConfig = Union[BitmapFilterConfig, FilterConfig]
 
 
 @dataclass
@@ -334,7 +297,7 @@ class BitmapFilter(PacketFilterMixin):
 
     def __init__(
         self,
-        config: Optional[AnyFilterConfig] = None,
+        config: Optional[FilterConfig] = None,
         protected: Optional[AddressSpace] = None,
         start_time: float = 0.0,
         apd: Optional[AdaptiveDroppingPolicy] = None,
@@ -350,16 +313,13 @@ class BitmapFilter(PacketFilterMixin):
         elif config_fields:
             raise TypeError("pass either a config object or bare config "
                             "fields, not both")
-        warmup_grace = 0.0
-        if isinstance(config, FilterConfig):
-            if fail_policy is None:
-                fail_policy = config.fail_policy
-            warmup_grace = config.warmup_grace
-            config = config.bitmap_config()
         if fail_policy is None:
-            fail_policy = FailPolicy.FAIL_CLOSED
+            fail_policy = config.fail_policy
 
-        self.config = config
+        # The filter keeps the geometry only: its live fail policy is
+        # ``self.fail_policy`` and its layers wrap it from outside.
+        self.config = replace(config, fail_policy=FailPolicy.FAIL_CLOSED,
+                              warmup_grace=0.0, layers=())
         self.protected = protected
         self.bitmap = Bitmap(config.num_vectors, config.order)
         self.hashes = HashFamily(config.num_hashes, config.order, config.seed)
@@ -373,23 +333,8 @@ class BitmapFilter(PacketFilterMixin):
 
         registry = telemetry if telemetry is not None else get_registry()
         self._tel = _FilterInstruments(registry) if registry.enabled else None
-        if warmup_grace > 0:
-            self.begin_warmup(start_time + warmup_grace)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: AnyFilterConfig,
-        protected: AddressSpace,
-        *,
-        start_time: float = 0.0,
-        apd: Optional[AdaptiveDroppingPolicy] = None,
-        telemetry: Optional[MetricsRegistry] = None,
-    ) -> "BitmapFilter":
-        """Build a filter from a :class:`FilterConfig` (fail policy and
-        warm-up grace included) or a plain :class:`BitmapFilterConfig`."""
-        return cls(config, protected, start_time=start_time, apd=apd,
-                   telemetry=telemetry)
+        if config.warmup_grace > 0:
+            self.begin_warmup(start_time + config.warmup_grace)
 
     # -- time ---------------------------------------------------------------
 
@@ -400,10 +345,11 @@ class BitmapFilter(PacketFilterMixin):
     def advance_to(self, ts: float) -> int:
         """Run every rotation due at or before ``ts``; returns how many ran.
 
-        While the rotation timer is stalled (:meth:`stall_rotations`) this is
-        a no-op — the schedule is frozen until :meth:`resume_rotations`.
+        While the filter is down (:meth:`fail`) or its rotation timer is
+        stalled (:meth:`stall_rotations`) this is a no-op — the schedule is
+        frozen until :meth:`recover` / :meth:`resume_rotations`.
         """
-        if self._stalled:
+        if self._stalled or self._down:
             return 0
         ran = 0
         while self._next_rotation <= ts:

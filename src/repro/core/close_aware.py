@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bitmap import Bitmap
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.filter_api import PacketFilterMixin
 from repro.net.address import AddressSpace
 from repro.net.flow import bitmap_key_incoming, bitmap_key_outgoing
@@ -111,7 +111,7 @@ class CloseAwareBitmapFilter(PacketFilterMixin):
 
     def __init__(
         self,
-        config: BitmapFilterConfig,
+        config: FilterConfig,
         protected: AddressSpace,
         close_config: CloseAwareConfig = CloseAwareConfig(),
         start_time: float = 0.0,

@@ -238,8 +238,8 @@ def build_filter(
     ----------
     config:
         A :class:`~repro.core.bitmap_filter.FilterConfig` (its
-        ``fail_policy``, ``warmup_grace`` and ``layers`` are honored), a
-        plain ``BitmapFilterConfig``, or None with bare ``**config_fields``.
+        ``fail_policy``, ``warmup_grace`` and ``layers`` are honored), or
+        None with bare ``**config_fields``.
     backend:
         Accepted for existing callers; ``"serial"`` is its only value, since
         every filter runs in the calling process.
@@ -275,7 +275,7 @@ def build_filter(
                                     telemetry=telemetry, layers=layers)
 
     if layers is None:
-        config_layers = getattr(config, "layers", ()) if config is not None else ()
+        config_layers = config.layers if config is not None else ()
         layers = config_layers or get_layers()
     layers = normalize_layers(layers)
 

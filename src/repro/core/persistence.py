@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Optional, Union
 
 import numpy as np
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import (GEOMETRY_FIELDS, BitmapFilter,
+                                      FilterConfig)
 from repro.core.cuckoo import CuckooFlowTable
 from repro.core.filter_api import _apply_layers, normalize_layers
 from repro.core.hybrid import HybridVerifiedFilter
@@ -76,9 +76,12 @@ def save_filter(filt: Union[BitmapFilter, HybridVerifiedFilter],
                          "first so the rotation schedule is live")
     extra_arrays = {}
     vectors = np.stack([vec.as_numpy() for vec in filt.bitmap.vectors])
+    config = filt.config.as_dict()
     meta = {
         "format_version": _FORMAT_VERSION,
-        "config": asdict(filt.config),
+        # The bitmap geometry; a layer stack gets its own "layers" section.
+        "config": {name: config[name] for name in GEOMETRY_FIELDS
+                   if name != "layers"},
         "current_index": filt.bitmap.current_index,
         "rotations": filt.bitmap.rotations,
         "next_rotation": filt.next_rotation,
@@ -114,7 +117,7 @@ def load_filter(path: SnapshotTarget) -> BitmapFilter:
     if version not in (1, _FORMAT_VERSION):
         raise ValueError(f"unsupported snapshot version {version}")
 
-    config = BitmapFilterConfig(**meta["config"])
+    config = FilterConfig.from_dict(meta["config"])
     protected = AddressSpace(
         [IPv4Network.parse(text) for text in meta["protected_networks"]]
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import FilterConfig
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class ExperimentScale:
     def attack_duration(self) -> float:
         return self.duration * self.attack_duration_fraction
 
-    def bitmap_config(self, order: int = None) -> BitmapFilterConfig:
-        return BitmapFilterConfig(
+    def bitmap_config(self, order: int = None) -> FilterConfig:
+        return FilterConfig(
             order=order if order is not None else self.bitmap_order,
             num_vectors=self.num_vectors,
             num_hashes=self.num_hashes,

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.analysis.report import render_table
 from repro.attacks.insider import InsiderAttack
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import FilterConfig
 from repro.core.filter_api import build_filter
 from repro.core.parameters import insider_utilization_increase, penetration_probability
 from repro.experiments.config import MEDIUM, ExperimentScale
@@ -61,7 +61,7 @@ class Sec52Result:
 
 
 def _utilization_under(
-    config: BitmapFilterConfig,
+    config: FilterConfig,
     trace: Trace,
     sample_time: float,
 ) -> float:
@@ -101,7 +101,7 @@ def run_sec52(
     scenarios: List[InsiderScenario] = []
     baseline_cfg = scale.bitmap_config()
 
-    def add_scenario(label: str, config: BitmapFilterConfig) -> None:
+    def add_scenario(label: str, config: FilterConfig) -> None:
         base_u = _utilization_under(config, trace, sample_time)
         attacked_u = _utilization_under(config, polluted, sample_time)
         te = config.expiry_timer
@@ -125,7 +125,7 @@ def run_sec52(
     add_scenario("baseline", baseline_cfg)
     add_scenario(
         "mitigation: larger bitmap (n+2)",
-        BitmapFilterConfig(
+        FilterConfig(
             order=baseline_cfg.order + 2,
             num_vectors=baseline_cfg.num_vectors,
             num_hashes=baseline_cfg.num_hashes,
@@ -135,7 +135,7 @@ def run_sec52(
     )
     add_scenario(
         "mitigation: shorter Te (dt=1.25s, Te=5s)",
-        BitmapFilterConfig(
+        FilterConfig(
             order=baseline_cfg.order,
             num_vectors=baseline_cfg.num_vectors,
             num_hashes=baseline_cfg.num_hashes,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from repro.analysis.report import render_table
-from repro.core.bitmap_filter import BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import Decision, FilterConfig
 from repro.core.filter_api import build_filter
 from repro.experiments.config import SMALL, ExperimentScale
 from repro.experiments.fig2 import generate_trace
@@ -86,7 +86,7 @@ def _run_collusion(
 ) -> CollusionPoint:
     """Stream the trace through a filter; replay sniffed tuples at +latency."""
     rng = random.Random(seed)
-    config = BitmapFilterConfig(
+    config = FilterConfig(
         order=scale.bitmap_order, num_vectors=scale.num_vectors,
         num_hashes=scale.num_hashes, rotation_interval=rotation_interval,
         seed=scale.seed,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.report import render_table
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import FilterConfig
 from repro.core.filter_api import build_filter
 from repro.experiments.config import SMALL, ExperimentScale
 from repro.experiments.fig2 import generate_trace
@@ -70,7 +70,7 @@ class TimingResult:
 def _measure(
     scale: ExperimentScale, trace: Trace, num_vectors: int, rotation_interval: float
 ) -> TimingPoint:
-    config = BitmapFilterConfig(
+    config = FilterConfig(
         order=scale.bitmap_order,
         num_vectors=num_vectors,
         num_hashes=scale.num_hashes,

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.bitmap_filter import FilterConfig
+from repro.core.bitmap_filter import GEOMETRY_FIELDS, FilterConfig
 from repro.fleet.router import NodeSpec
 from repro.fleet.store import SnapshotRef, SnapshotStore
 
@@ -64,12 +64,6 @@ __all__ = ["AddNodeReport", "FleetManager", "ManagedNode", "ReconfigReport",
            "RollingReconfigError"]
 
 _READY_PREFIX = "REPRO-SERVE READY "
-
-# Geometry fields echoed by the daemon's /healthz (both the live filter's
-# and, mid-reconfig, the pending one's) — the per-node confirmation
-# rolling_reconfig waits on.
-_GEOMETRY_FIELDS = ("order", "num_vectors", "num_hashes",
-                    "rotation_interval", "seed", "layers")
 
 
 class RollingReconfigError(RuntimeError):
@@ -349,7 +343,9 @@ class FleetManager:
 
     @staticmethod
     def _geometry_of(source: dict) -> dict:
-        return {key: source.get(key) for key in _GEOMETRY_FIELDS}
+        """The geometry fields of a /healthz filter (live or pending)
+        dict — the per-node confirmation rolling_reconfig waits on."""
+        return {key: source.get(key) for key in GEOMETRY_FIELDS}
 
     def rolling_reconfig(self, new_config: FilterConfig, *,
                          margin: int = 2,
@@ -385,14 +381,7 @@ class FleetManager:
         names = sorted(self._nodes)
         if not names:
             raise RuntimeError("fleet not started")
-        target = {
-            "order": new_config.order,
-            "num_vectors": new_config.num_vectors,
-            "num_hashes": new_config.num_hashes,
-            "rotation_interval": new_config.rotation_interval,
-            "seed": new_config.seed,
-            "layers": new_config.layer_dicts(),
-        }
+        target = self._geometry_of(new_config.as_dict())
 
         # One boundary for the whole fleet: past every node's next
         # rotation, with margin rotations of slack so every SIGHUP lands

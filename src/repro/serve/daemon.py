@@ -62,9 +62,9 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.bitmap_filter import BitmapFilter, FilterConfig
-from repro.core.filter_api import build_filter
+from repro.core.bitmap_filter import GEOMETRY_FIELDS, FilterConfig
 from repro.core.resilience import FailPolicy
+from repro.core.session import FilterSession
 from repro.net.address import AddressSpace
 from repro.net.packet import DIRECTION_INCOMING, PacketArray
 from repro.serve import protocol
@@ -210,11 +210,8 @@ class FilterDaemon:
         self.config = config
         self.registry = registry if registry is not None else MetricsRegistry()
         self._m = _Instruments(self.registry)
-        self._filter_config = config.filter
-        self._filt = None
+        self._session: Optional[FilterSession] = None
         self._scheduler: Optional[RotationScheduler] = None
-        self._pending_config: Optional[FilterConfig] = None
-        self._rebuild_at = float("inf")   # boundary the rebuild waits for
         self._restored_arrivals = 0       # arrivals carried by a warm start
 
         self._queue: Deque[Tuple[_Connection, PacketArray, asyncio.Future]] = \
@@ -239,30 +236,25 @@ class FilterDaemon:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_filter(self, cfg: FilterConfig, start_time: float):
-        # The config's layers (e.g. the hybrid verification tier) are
-        # wrapped by the factory itself.
-        return build_filter(cfg, self.config.protected, start_time=start_time,
-                            telemetry=self.registry)
-
     def _init_filter(self) -> None:
+        on_rebuild = self._m.reloads["rebuild"].inc
         if self.config.restore_path:
-            self._filt = build_filter(snapshot=self.config.restore_path,
-                                      telemetry=self.registry)
-            self._filter_config = FilterConfig.from_bitmap_config(
-                self._filt.config, fail_policy=self._filt.fail_policy,
-                layers=getattr(self._filt, "layers", ()))
+            self._session = FilterSession(
+                snapshot=self.config.restore_path, telemetry=self.registry,
+                on_rebuild=on_rebuild)
             # How much state the warm start actually carried: a fleet
             # supervisor reads this off /healthz to prove a scale-out
             # served warm instead of cold.
-            self._restored_arrivals = int(self._filt.stats.total)
+            self._restored_arrivals = int(self.filter.stats.total)
         else:
-            self._filt = self._build_filter(self._filter_config, 0.0)
+            self._session = FilterSession(
+                self.config.filter, self.config.protected,
+                telemetry=self.registry, on_rebuild=on_rebuild)
 
     @property
     def filter(self):
         """The live filter instance (swapped by rebuilds — don't cache)."""
-        return self._filt
+        return self._session.filter
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -277,13 +269,12 @@ class FilterDaemon:
         if self.config.clock == "wall":
             # Filter time resumes at the last rotation boundary, so a
             # restored schedule stays aligned; a fresh filter starts at 0.
-            resume_at = (self._filt.next_rotation
-                         - self._filt.config.rotation_interval)
+            resume_at = (self.filter.next_rotation
+                         - self.filter.config.rotation_interval)
             self._scheduler = RotationScheduler(
-                self._filt,
+                self._session,
                 epoch=monotonic() - resume_at,
                 registry=self.registry,
-                on_boundary=self._on_rotation_boundary,
             )
 
         server = await asyncio.start_server(
@@ -361,7 +352,7 @@ class FilterDaemon:
             await self._scheduler.join()
         # 5. Final snapshot, then close the HTTP endpoint.
         if self.config.snapshot_path:
-            write_snapshot(self._filt, self.config.snapshot_path)
+            write_snapshot(self.filter, self.config.snapshot_path)
             self._m.snapshots_total.inc()
         if self._http_server is not None:
             self._http_server.close()
@@ -482,7 +473,7 @@ class FilterDaemon:
     def _shed(self, packets: PacketArray, fut: asyncio.Future) -> None:
         """Answer an overflow frame from the fail policy, filter untouched."""
         verdicts = np.ones(len(packets), dtype=bool)
-        if self._filt.fail_policy is FailPolicy.FAIL_CLOSED:
+        if self.filter.fail_policy is FailPolicy.FAIL_CLOSED:
             directions = packets.directions(self.config.protected)
             verdicts[directions == DIRECTION_INCOMING] = False
         self._m.shed_frames.inc()
@@ -524,7 +515,7 @@ class FilterDaemon:
             PacketArray.concatenate(arrays)
         began = perf_counter()
         try:
-            verdicts = self._filter_batch(batch)
+            verdicts = self._session.process_batch(batch, self.config.exact)
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
             self._m.filter_errors.inc()
             message = f"filter failure: {exc}".encode()
@@ -545,34 +536,6 @@ class FilterDaemon:
             fut.set_result((protocol.FT_VERDICTS, raw[offset:end]))
             offset = end
 
-    def _filter_batch(self, batch: PacketArray) -> np.ndarray:
-        """``process_batch`` with a packet-deterministic deferred rebuild.
-
-        When a pending geometry's rebuild boundary falls *inside* this
-        micro-batch, the batch is split at the boundary: packets with
-        ``ts < rebuild_at`` go through the old filter, the rebuild runs,
-        and the remainder goes through the new one.  The split makes the
-        rebuild point a function of packet timestamps alone — not of how
-        frames happened to coalesce into batches — which is what lets a
-        whole fleet rebuild at one shared boundary and stay byte-identical
-        to an offline twin that rebuilds at the same boundary.
-        """
-        if self._pending_config is None or not len(batch):
-            return self._filt.process_batch(batch, exact=self.config.exact)
-        ts = np.asarray(batch.ts, dtype=np.float64)
-        split = int(np.searchsorted(ts, self._rebuild_at, side="left"))
-        if split >= len(batch):  # boundary still ahead of all of this batch
-            return self._filt.process_batch(batch, exact=self.config.exact)
-        if split == 0:
-            self._rebuild_now()
-            return self._filt.process_batch(batch, exact=self.config.exact)
-        head = self._filt.process_batch(batch[:split],
-                                        exact=self.config.exact)
-        self._rebuild_now()
-        tail = self._filt.process_batch(batch[split:],
-                                        exact=self.config.exact)
-        return np.concatenate([head, tail])
-
     # -- hot reload -----------------------------------------------------------
 
     def request_reload(self) -> None:
@@ -587,7 +550,7 @@ class FilterDaemon:
             rebuild_at = None
             if isinstance(data, dict) and "rebuild_at" in data:
                 rebuild_at = float(data.pop("rebuild_at"))
-            new_config = _parse_filter_config(data)
+            new_config = FilterConfig.from_dict(data)
         except (OSError, ValueError, TypeError) as exc:
             print(f"repro-serve: reload failed: {exc}", file=sys.stderr)
             return
@@ -601,7 +564,8 @@ class FilterDaemon:
         timing changes (n, k, m, Δt, seed, layers) cannot be translated
         onto live bit state, so they are deferred and rebuild the filter
         at the next rotation boundary ("deferred-rebuild"); "unchanged"
-        means the new config matches the running one.
+        means the new config matches the running one.  The rebuild itself
+        is the :class:`~repro.core.session.FilterSession`'s.
 
         ``rebuild_at`` overrides the boundary the rebuild waits for — a
         fleet supervisor passes one *shared* boundary to every node so
@@ -610,79 +574,18 @@ class FilterDaemon:
         byte-identical).  It should be a rotation boundary; the default
         is this filter's own next rotation.
         """
-        current = self._filter_config
-        geometry_changed = any(
-            getattr(new_config, name) != getattr(current, name)
-            for name in ("order", "num_vectors", "num_hashes",
-                         "rotation_interval", "seed", "layers"))
-        if not geometry_changed:
-            if new_config.fail_policy is not self._filt.fail_policy:
-                self._filt.set_fail_policy(new_config.fail_policy)
-                self._filter_config = new_config
-                self._m.reloads["immediate"].inc()
-                return "immediate"
-            return "unchanged"
-        # Capture the boundary to rebuild at *now*: the filter's own
-        # next_rotation keeps moving ahead of the traffic as batches are
-        # processed, so comparing against it later would defer forever.
-        self._pending_config = new_config
-        self._rebuild_at = (float(rebuild_at) if rebuild_at is not None
-                            else self._filt.next_rotation)
-        return "deferred-rebuild"
-
-    async def _on_rotation_boundary(self, now_ft: float) -> None:
-        if self._pending_config is not None:
-            self._maybe_rebuild(now_ft)
-
-    def _maybe_rebuild(self, now_ft: float) -> None:
-        """Rebuild onto the pending config once a rotation boundary passes."""
-        if now_ft < self._rebuild_at:
-            return
-        self._rebuild_now()
-
-    def _rebuild_now(self) -> None:
-        """Swap the filter onto the pending config, anchored at the boundary.
-
-        The new filter starts at the captured rebuild boundary — or, if
-        the old filter's clock already ran past it (wall mode catching
-        up), at the last boundary the old filter crossed — so its
-        rotation schedule stays origin-anchored and packets in flight
-        remain monotonic for it.
-        """
-        new_config = self._pending_config
-        target = self._rebuild_at
-        self._pending_config = None
-        self._rebuild_at = float("inf")
-        last_crossed = (self._filt.next_rotation
-                        - self._filt.config.rotation_interval)
-        boundary = max(target, last_crossed) if target != float("inf") \
-            else last_crossed
-        old_grace = self._filt.config.expiry_timer
-        self._filt = self._build_filter(new_config, boundary)
-        # Marks in the old geometry are unreadable by the new one; open a
-        # warm-up grace window as a restart would, so established flows'
-        # inbound packets are not mass-dropped.
-        self._filt.begin_warmup(boundary + old_grace)
-        self._filter_config = new_config
-        self._m.reloads["rebuild"].inc()
-        if self._scheduler is not None:
-            self._scheduler._filt = self._filt
+        outcome = self._session.apply(new_config, rebuild_at=rebuild_at)
+        if outcome == "immediate":
+            self._m.reloads["immediate"].inc()
+        return outcome
 
     # -- introspection --------------------------------------------------------
 
     def describe(self) -> dict:
         """The FT_CONFIG payload: enough to build this filter's offline twin."""
-        cfg = self._filter_config
         return {
-            "filter": {
-                "order": cfg.order,
-                "num_vectors": cfg.num_vectors,
-                "num_hashes": cfg.num_hashes,
-                "rotation_interval": cfg.rotation_interval,
-                "seed": cfg.seed,
-                "fail_policy": self._filt.fail_policy.value,
-                "layers": cfg.layer_dicts(),
-            },
+            "filter": dict(_geometry_dict(self._session.config),
+                           fail_policy=self.filter.fail_policy.value),
             "protected": [str(net) for net in self.config.protected.networks],
             "clock": self.config.clock,
             "exact": self.config.exact,
@@ -702,18 +605,18 @@ class FilterDaemon:
         (backpressure imminence).
         """
         self._m.uptime.set(self.uptime())
-        interval = self._filt.config.rotation_interval
-        last_boundary = self._filt.next_rotation - interval
+        filt = self.filter
+        last_boundary = filt.next_rotation - filt.config.rotation_interval
         if self._scheduler is not None:
             now_ft = self._scheduler.filter_now()
-            rotation_lag = max(0.0, now_ft - self._filt.next_rotation)
-            warming_up = self._filt.in_warmup(now_ft)
+            rotation_lag = max(0.0, now_ft - filt.next_rotation)
+            warming_up = filt.in_warmup(now_ft)
         else:
             # Packet clock: stream position is the last crossed boundary;
             # lag is meaningless when time only advances with traffic.
             rotation_lag = 0.0
-            warming_up = self._filt.warmup_until > last_boundary
-        pending = self._pending_config
+            warming_up = filt.warmup_until > last_boundary
+        pending = self._session.pending
         return {
             "status": "draining" if self._drained or self._draining
             else "serving",
@@ -721,21 +624,21 @@ class FilterDaemon:
             "connections_open": len(self._conns),
             "queue_frames": len(self._queue),
             "packets_total": self._m.packets_total.value,
-            "rotations": self._filt.stats.rotations,
-            "next_rotation": self._filt.next_rotation,
+            "rotations": filt.stats.rotations,
+            "next_rotation": filt.next_rotation,
             "pending_rebuild": pending is not None,
             # Echo of an accepted-but-deferred geometry: a rolling
             # reconfig driver polls these to confirm a node took the new
             # config (and at which shared boundary) before moving on.
             "pending_geometry": _geometry_dict(pending) if pending else None,
-            "pending_rebuild_at": (self._rebuild_at
+            "pending_rebuild_at": (self._session.rebuild_at
                                    if pending is not None else None),
             "restored": bool(self.config.restore_path),
             "restored_arrivals": self._restored_arrivals,
-            "fail_policy": self._filt.fail_policy.value,
-            "degraded": self._filt.is_down,
+            "fail_policy": filt.fail_policy.value,
+            "degraded": filt.is_down,
             "warming_up": warming_up,
-            "warmup_until": self._filt.warmup_until,
+            "warmup_until": filt.warmup_until,
             "rotation_lag_seconds": rotation_lag,
             "ingest_queue_depth": len(self._queue),
             "ingest_queue_capacity": self.config.queue_frames,
@@ -747,34 +650,12 @@ class FilterDaemon:
 
     def snapshot_bytes(self) -> bytes:
         """The /snapshot payload (raises if the filter cannot snapshot)."""
-        data = snapshot_to_bytes(self._filt)
+        data = snapshot_to_bytes(self.filter)
         self._m.snapshots_total.inc()
         return data
 
 
 def _geometry_dict(cfg: FilterConfig) -> dict:
     """The geometry half of a config (the fields a rebuild is keyed on)."""
-    return {
-        "order": cfg.order,
-        "num_vectors": cfg.num_vectors,
-        "num_hashes": cfg.num_hashes,
-        "rotation_interval": cfg.rotation_interval,
-        "seed": cfg.seed,
-        "layers": cfg.layer_dicts(),
-    }
-
-
-def _parse_filter_config(data: dict) -> FilterConfig:
-    """A :class:`FilterConfig` from the reload file's JSON object."""
-    if not isinstance(data, dict):
-        raise ValueError("reload config must be a JSON object")
-    fields = dict(data)
-    policy = fields.pop("fail_policy", None)
-    known = {"order", "num_vectors", "num_hashes", "rotation_interval",
-             "seed", "warmup_grace", "layers"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ValueError(f"unknown filter config fields: {sorted(unknown)}")
-    if policy is not None:
-        fields["fail_policy"] = FailPolicy(policy)
-    return FilterConfig(**fields)
+    data = cfg.as_dict()
+    return {name: data[name] for name in GEOMETRY_FIELDS}

@@ -26,15 +26,16 @@ the filter's time domain through a fixed ``epoch`` (filter time 0 ==
   mode ``repro.faults``' ``RotationStall(catch_up=False)`` models.
 
 The scheduler emits telemetry (rotation wakeups, per-wakeup catch-up
-counts, boundary drift) and offers an ``on_boundary`` hook the daemon uses
-to apply deferred configuration rebuilds at a rotation edge.
+counts, boundary drift).  The daemon hands it a
+:class:`~repro.core.session.FilterSession`, whose ``advance_to`` also runs
+a deferred geometry rebuild once its boundary has passed.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Awaitable, Callable, Optional
+from typing import Callable, Optional
 
 from repro.telemetry.registry import MetricsRegistry, log_buckets
 
@@ -48,10 +49,10 @@ class RotationScheduler:
     """Drive a filter's rotations from wall-clock time on an event loop.
 
     ``filt`` is any object with ``next_rotation`` and ``advance_to``
-    (bare and hybrid filters both qualify).  ``epoch`` is the wall
-    instant (in ``clock()`` units) corresponding to filter time zero; the
-    daemon sets it at startup so live packets and rotations share one
-    time domain.  ``clock`` defaults to :func:`time.monotonic` and is
+    (bare and hybrid filters and a filter session all qualify).  ``epoch``
+    is the wall instant (in ``clock()`` units) corresponding to filter
+    time zero; the daemon sets it at startup so live packets and
+    rotations share one time domain.  ``clock`` defaults to :func:`time.monotonic` and is
     injectable for tests.
     """
 
@@ -62,13 +63,11 @@ class RotationScheduler:
         epoch: float,
         clock: Callable[[], float] = time.monotonic,
         registry: Optional[MetricsRegistry] = None,
-        on_boundary: Optional[Callable[[float], Awaitable[None]]] = None,
         poll_cap: float = 3600.0,
     ):
         self._filt = filt
         self._epoch = epoch
         self._clock = clock
-        self._on_boundary = on_boundary
         self._poll_cap = poll_cap
         self._stopped = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
@@ -132,7 +131,7 @@ class RotationScheduler:
                     pass
                 # Re-read the deadline: a restore/rebuild may have moved it.
                 continue
-            ran = await self._rotate_due()
+            ran = self._rotate_due()
             if not ran:
                 # A stalled filter leaves the deadline in the past; idle
                 # briefly instead of spinning against the frozen schedule.
@@ -142,7 +141,7 @@ class RotationScheduler:
                 except asyncio.TimeoutError:
                     continue
 
-    async def _rotate_due(self) -> int:
+    def _rotate_due(self) -> int:
         deadline = self._filt.next_rotation
         now_ft = self.filter_now()
         ran = self._filt.advance_to(now_ft)
@@ -151,6 +150,4 @@ class RotationScheduler:
             if ran > 1:
                 self._caught_up.inc(ran - 1)
             self._drift.observe(max(now_ft - deadline, 0.0))
-        if self._on_boundary is not None:
-            await self._on_boundary(now_ft)
         return ran

@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.net.address import AddressSpace
 from repro.net.packet import PacketArray
 from repro.sim.topology import IspTopology, NodeKind
@@ -53,7 +53,7 @@ class FilterDeployment:
         self,
         router: str,
         client_networks: Sequence[str],
-        config: BitmapFilterConfig,
+        config: FilterConfig,
         start_time: float = 0.0,
     ) -> PlacedFilter:
         """Install one filter at ``router`` covering the given networks.

@@ -106,42 +106,21 @@ def run_filter_with_reconfig(
 ) -> np.ndarray:
     """Offline twin of a live geometry reconfig: verdicts across a rebuild.
 
-    Reproduces exactly what a ``FilterDaemon`` (and hence every node of a
-    fleet under :meth:`FleetManager.rolling_reconfig`) does when geometry
-    changes mid-stream: packets with ``ts < rebuild_at`` go through a
-    filter built from ``config``; at the boundary a fresh filter is built
-    from ``new_config`` — anchored at the boundary so its rotation
-    schedule stays origin-aligned, with a warm-up grace window of the
-    *old* expiry timer (marks in the old geometry are unreadable by the
-    new one) — and the rest of the trace goes through it.
+    Runs ``trace`` through a :class:`~repro.core.session.FilterSession`
+    built from ``config`` with ``new_config`` applied to rebuild at
+    ``rebuild_at`` — the session a ``FilterDaemon`` (and hence every node
+    of a fleet under :meth:`FleetManager.rolling_reconfig`) runs.
 
     Because the split point is a function of packet timestamps alone,
     this serial replay is byte-identical to a fleet whose every node
     rebuilds at the same shared ``rebuild_at`` — the invariant
     ``tests/differential/test_fleet_equivalence.py`` pins.
     """
-    from repro.core.filter_api import build_filter
+    from repro.core.session import FilterSession
 
-    packets = trace.packets
-    old = build_filter(config, trace.protected)
-    ts = np.asarray(packets.ts, dtype=np.float64)
-    split = int(np.searchsorted(ts, float(rebuild_at), side="left"))
-    if split >= len(packets):  # boundary never crossed: no rebuild happens
-        return np.asarray(old.process_batch(packets, exact=exact),
-                          dtype=bool)
-    head = (np.asarray(old.process_batch(packets[:split], exact=exact),
-                       dtype=bool)
-            if split else np.zeros(0, dtype=bool))
-    # Anchor where the daemon anchors: the shared boundary, unless the
-    # old filter's clock already ran past it (never in packet mode).
-    last_crossed = old.next_rotation - old.config.rotation_interval
-    boundary = max(float(rebuild_at), last_crossed)
-    new = build_filter(new_config, trace.protected,
-                       start_time=boundary)
-    new.begin_warmup(boundary + old.config.expiry_timer)
-    tail = np.asarray(new.process_batch(packets[split:], exact=exact),
-                      dtype=bool)
-    return np.concatenate([head, tail])
+    session = FilterSession(config, trace.protected)
+    session.apply(new_config, rebuild_at=rebuild_at)
+    return session.process_batch(trace.packets, exact=exact)
 
 
 def windowed_drop_rates(

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.net.address import AddressSpace
 from repro.net.packet import Packet, TcpFlags
 from repro.net.protocols import IPPROTO_TCP, IPPROTO_UDP
@@ -45,10 +45,10 @@ def rng() -> random.Random:
 
 
 @pytest.fixture()
-def small_config() -> BitmapFilterConfig:
+def small_config() -> FilterConfig:
     """A small, fast bitmap config (k=4, n=12, m=3, dt=5 -> Te=20)."""
-    return BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                              rotation_interval=5.0)
+    return FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                        rotation_interval=5.0)
 
 
 @pytest.fixture()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.net.packet import Packet, PacketArray, TcpFlags
 from repro.net.protocols import IPPROTO_TCP, IPPROTO_UDP
 from tests.conftest import make_reply, make_request
@@ -11,7 +11,7 @@ from tests.conftest import make_reply, make_request
 
 class TestConfig:
     def test_paper_default(self):
-        config = BitmapFilterConfig.paper_default()
+        config = FilterConfig.paper_default()
         assert config.order == 20
         assert config.num_vectors == 4
         assert config.num_hashes == 3
@@ -22,9 +22,9 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BitmapFilterConfig(rotation_interval=0)
+            FilterConfig(rotation_interval=0)
         with pytest.raises(ValueError):
-            BitmapFilterConfig(num_hashes=0)
+            FilterConfig(num_hashes=0)
 
 
 class TestAlgorithm2:
@@ -190,8 +190,8 @@ class TestBatchPaths:
             packets.append(Packet(t0 + 0.10, IPPROTO_TCP, server, 80, client,
                                   sport, TcpFlags.ACK))   # reply after the mark
         batch = PacketArray.from_packets(packets)
-        config = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                                    rotation_interval=2.0)
+        config = FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                              rotation_interval=2.0)
         exact = BitmapFilter(config, protected).process_batch(batch, exact=True)
         windowed = BitmapFilter(config, protected).process_batch(batch,
                                                                  exact=False)

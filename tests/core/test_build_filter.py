@@ -13,11 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.bitmap_filter import (
-    BitmapFilter,
-    BitmapFilterConfig,
-    FilterConfig,
-)
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.core.filter_api import (
     build_filter,
     get_layers,
@@ -30,8 +26,8 @@ from repro.core.persistence import save_filter
 from repro.core.resilience import FailPolicy
 from tests.conftest import make_reply, make_request
 
-CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                            rotation_interval=5.0)
+CONFIG = FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                      rotation_interval=5.0)
 
 
 class TestNormalizeLayers:

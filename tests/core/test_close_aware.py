@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.close_aware import (
     CloseAwareBitmapFilter,
     CloseAwareConfig,
@@ -11,8 +11,8 @@ from repro.core.close_aware import (
 from repro.net.packet import TcpFlags
 from tests.conftest import make_reply, make_request
 
-CFG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                         rotation_interval=5.0)
+CFG = FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                   rotation_interval=5.0)
 
 
 @pytest.fixture()

@@ -8,17 +8,12 @@ between its directional methods and the generic entry points.
 
 import json
 import warnings
-from dataclasses import FrozenInstanceError, asdict
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from repro.baselines.throttle import AggregateRateLimiter
-from repro.core.bitmap_filter import (
-    BitmapFilter,
-    BitmapFilterConfig,
-    Decision,
-    FilterConfig,
-)
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.close_aware import CloseAwareBitmapFilter
 from repro.core.filter_api import PacketFilter, PacketFilterMixin
 from repro.core.resilience import FailPolicy
@@ -150,19 +145,22 @@ class TestFilterConfig:
             small_config, fail_policy=FailPolicy.FAIL_OPEN, warmup_grace=7.5)
         assert lifted.order == small_config.order
         assert lifted.fail_policy is FailPolicy.FAIL_OPEN
-        assert lifted.bitmap_config() == small_config
+        assert replace(lifted, fail_policy=FailPolicy.FAIL_CLOSED,
+                       warmup_grace=0.0) == small_config
 
-    def test_from_config_constructor(self, protected):
+    def test_config_sets_policy_and_grace(self, protected):
         cfg = FilterConfig(order=12, num_vectors=4, rotation_interval=2.0,
                            fail_policy=FailPolicy.FAIL_OPEN,
                            warmup_grace=6.0)
-        filt = BitmapFilter.from_config(cfg, protected)
+        filt = BitmapFilter(cfg, protected)
         assert filt.fail_policy is FailPolicy.FAIL_OPEN
         assert filt.in_warmup(5.9)
         assert not filt.in_warmup(6.1)
-        # The stored config stays the plain persistable geometry view.
-        assert isinstance(filt.config, BitmapFilterConfig)
-        json.dumps(asdict(filt.config))  # persistence requires JSON-safe
+        # The stored config is the geometry only: the live policy is
+        # filt.fail_policy, and the grace window is already open.
+        assert filt.config == replace(cfg, fail_policy=FailPolicy.FAIL_CLOSED,
+                                      warmup_grace=0.0)
+        json.dumps(filt.config.as_dict())  # persistence requires JSON-safe
 
     def test_bare_field_construction(self, protected):
         filt = BitmapFilter(protected=protected, order=12,
@@ -178,5 +176,5 @@ class TestFilterConfig:
     def test_legacy_positional_config_still_works(self, small_config,
                                                   protected):
         filt = BitmapFilter(small_config, protected)
-        assert filt.config is small_config
+        assert filt.config == small_config
         assert filt.fail_policy is FailPolicy.FAIL_CLOSED

@@ -11,7 +11,7 @@ import io
 
 import numpy as np
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.core.cuckoo import pack_flow
 from repro.core.filter_api import Decision, PacketFilter
 from repro.core.hybrid import (
@@ -25,13 +25,13 @@ from repro.net.packet import PacketArray
 from repro.telemetry import MetricsRegistry, use_registry
 from tests.conftest import make_reply, make_request
 
-CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                            rotation_interval=5.0)
+CONFIG = FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                      rotation_interval=5.0)
 
 
 def make_hybrid(protected, spec=None, **config_fields):
-    config = (BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                                 rotation_interval=5.0, **config_fields)
+    config = (FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                           rotation_interval=5.0, **config_fields)
               if config_fields else CONFIG)
     return HybridVerifiedFilter(BitmapFilter(config, protected),
                                 spec or VerifySpec(initial_order=4))

@@ -33,11 +33,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.ddos import syn_flood
-from repro.core.bitmap_filter import (
-    BitmapFilter,
-    BitmapFilterConfig,
-    Decision,
-)
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
 from repro.core.persistence import load_filter, save_filter
 from repro.net.packet import DIRECTION_INCOMING
@@ -55,8 +51,8 @@ VERIFY_SPEC = VerifySpec(initial_order=4)
 
 #: Small geometry with a fast rotation clock: a 25 s trace crosses ~12
 #: rotation boundaries and several full expiry windows.
-CONFIG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                            rotation_interval=2.0)
+CONFIG = FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                      rotation_interval=2.0)
 
 
 def pytest_generate_tests(metafunc):

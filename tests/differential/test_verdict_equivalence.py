@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import FilterConfig
 from repro.net.packet import Packet, PacketArray, TcpFlags
 from repro.net.protocols import IPPROTO_TCP
 from tests.differential.conftest import (
@@ -34,8 +34,8 @@ from tests.strategies import (
 pytestmark = pytest.mark.differential
 
 #: Geometry matching the shared strategies' defaults (5 s rotations).
-HYP_CONFIG = BitmapFilterConfig(order=10, num_vectors=4, num_hashes=3,
-                                rotation_interval=5.0)
+HYP_CONFIG = FilterConfig(order=10, num_vectors=4, num_hashes=3,
+                          rotation_interval=5.0)
 
 
 @pytest.mark.parametrize("num_workers", WORKER_COUNTS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.scanner import RandomScanAttack, ScanConfig
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.sim.pipeline import run_filter_on_trace
 from repro.spi.avltree import AvlTreeFilter
 from repro.spi.hashlist import HashListFilter
@@ -25,8 +25,8 @@ def attacked_trace(tiny_trace):
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    return BitmapFilterConfig(order=13, num_vectors=4, num_hashes=3,
-                              rotation_interval=5.0)
+    return FilterConfig(order=13, num_vectors=4, num_hashes=3,
+                        rotation_interval=5.0)
 
 
 class TestAttackDefense:

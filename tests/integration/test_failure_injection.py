@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.hashing import HashFamily
 from repro.net.packet import Packet, PacketArray, TcpFlags
 from repro.net.protocols import IPPROTO_TCP
@@ -78,8 +78,8 @@ class TestAdversarialHashing:
     def test_known_seed_enables_crafted_penetration(self, protected):
         """With the hash seed public and a tiny bitmap, an attacker can craft
         a tuple whose bits are covered by existing marks."""
-        config = BitmapFilterConfig(order=6, num_vectors=4, num_hashes=2,
-                                    rotation_interval=5.0, seed=1234)
+        config = FilterConfig(order=6, num_vectors=4, num_hashes=2,
+                              rotation_interval=5.0, seed=1234)
         filt = BitmapFilter(config, protected)
         victim_client = protected.networks[0].host(1)
         # Legitimate outgoing traffic marks some bits.
@@ -97,8 +97,8 @@ class TestAdversarialHashing:
     def test_secret_seed_defeats_the_crafted_tuple(self, protected):
         """The same crafted tuple misses once the deployment randomizes the
         seed — why HashFamily takes a seed at all."""
-        config_known = BitmapFilterConfig(order=6, num_vectors=4, num_hashes=2,
-                                          rotation_interval=5.0, seed=1234)
+        config_known = FilterConfig(order=6, num_vectors=4, num_hashes=2,
+                                    rotation_interval=5.0, seed=1234)
         filt = BitmapFilter(config_known, protected)
         victim_client = protected.networks[0].host(1)
         marked = set()
@@ -110,8 +110,8 @@ class TestAdversarialHashing:
         proto, daddr, dport, saddr = crafted
         attack = Packet(2.0, proto, saddr, 31337, daddr, dport, TcpFlags.SYN)
 
-        config_secret = BitmapFilterConfig(order=6, num_vectors=4, num_hashes=2,
-                                           rotation_interval=5.0, seed=99999)
+        config_secret = FilterConfig(order=6, num_vectors=4, num_hashes=2,
+                                     rotation_interval=5.0, seed=99999)
         secret = BitmapFilter(config_secret, protected)
         for sport in range(1024, 1060):
             secret.process(make_request(1.0, victim_client, 0x08080808,
@@ -120,8 +120,8 @@ class TestAdversarialHashing:
         # keys in 64 bits the crafted tuple should not be a sure hit.
         hits = 0
         for reseed in range(5):
-            cfg = BitmapFilterConfig(order=6, num_vectors=4, num_hashes=2,
-                                     rotation_interval=5.0, seed=5000 + reseed)
+            cfg = FilterConfig(order=6, num_vectors=4, num_hashes=2,
+                               rotation_interval=5.0, seed=5000 + reseed)
             f = BitmapFilter(cfg, protected)
             for sport in range(1024, 1060):
                 f.process(make_request(1.0, victim_client, 0x08080808,

@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.net.packet import PacketArray
 from repro.telemetry.registry import MetricsRegistry
 from tests.strategies import (
@@ -57,7 +57,7 @@ def _path_counts(registry, path):
 
 @st.composite
 def configs(draw):
-    return BitmapFilterConfig(
+    return FilterConfig(
         order=draw(st.integers(4, 6)),
         num_vectors=draw(st.integers(2, 4)),
         num_hashes=draw(st.integers(1, 3)),

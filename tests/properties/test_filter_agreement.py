@@ -9,7 +9,7 @@ side (false negatives), never by dropping fresh legitimate replies.
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.net.packet import PacketArray
 from tests.strategies import (
     PROTECTED,
@@ -17,8 +17,8 @@ from tests.strategies import (
     traffic_scripts,
 )
 
-CONFIG = BitmapFilterConfig(order=10, num_vectors=4, num_hashes=3,
-                            rotation_interval=5.0)
+CONFIG = FilterConfig(order=10, num_vectors=4, num_hashes=3,
+                      rotation_interval=5.0)
 
 
 class TestGuaranteedWindowSoundness:

@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.core.filter_api import Decision
 from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
 from repro.net.packet import PacketArray
@@ -29,7 +29,7 @@ from tests.strategies import PROTECTED, script_to_packets, traffic_scripts
 @st.composite
 def stacks(draw):
     """(bitmap config, verify spec) with a tiny bitmap and table."""
-    config = BitmapFilterConfig(
+    config = FilterConfig(
         order=draw(st.integers(4, 6)), num_vectors=4,
         num_hashes=draw(st.integers(1, 2)), rotation_interval=5.0,
         seed=draw(st.integers(0, 2**16)))
@@ -95,8 +95,8 @@ def jammed_stacks(draw):
     """One-slot buckets, two-node kicks and no utilization trigger below
     full: kicks fail at low load, so pressure grows reach the ceiling
     within a few lookups, and then inserts overwrite live entries."""
-    config = BitmapFilterConfig(order=8, num_vectors=4, num_hashes=2,
-                                rotation_interval=5.0)
+    config = FilterConfig(order=8, num_vectors=4, num_hashes=2,
+                          rotation_interval=5.0)
     initial = draw(st.integers(2, 3))
     spec = VerifySpec(
         initial_order=initial, slots_per_bucket=1,
@@ -131,8 +131,8 @@ def test_fpr_grows_stay_vectorized_below_the_ceiling(monkeypatch):
     events = [(0.3, i % 3 != 2, i % 24) for i in range(120)]
     script = script_to_packets(events)
     packets = PacketArray.from_packets(script)
-    config = BitmapFilterConfig(order=4, num_vectors=4, num_hashes=1,
-                                rotation_interval=5.0)
+    config = FilterConfig(order=4, num_vectors=4, num_hashes=1,
+                          rotation_interval=5.0)
     scalar_calls = []
     original = HybridVerifiedFilter._verify_exact_scalar
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines.throttle import AggregateRateLimiter
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.core.close_aware import CloseAwareBitmapFilter
 from repro.core.filter_api import PacketFilter
 from repro.core.hybrid import HybridVerifiedFilter, VerifySpec
@@ -26,8 +26,8 @@ from repro.spi.hashlist import HashListFilter
 from repro.spi.naive import NaiveExactFilter
 from tests.strategies import PROTECTED, mixed_direction_packets, packet_scripts
 
-CONFIG = BitmapFilterConfig(order=10, num_vectors=4, num_hashes=3,
-                            rotation_interval=5.0)
+CONFIG = FilterConfig(order=10, num_vectors=4, num_hashes=3,
+                      rotation_interval=5.0)
 
 #: Fresh-instance factories for all seven PacketFilter implementations.
 FILTER_FACTORIES = {

@@ -108,7 +108,7 @@ def test_expected_fp_matches_measured_drops():
     import numpy as np
 
     from repro.analysis.delay import out_in_delays
-    from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+    from repro.core.bitmap_filter import BitmapFilter, FilterConfig
     from repro.core.parameters import expected_false_positive_rate
     from repro.traffic.generator import WorkloadConfig, ClientNetworkWorkload
 
@@ -117,8 +117,8 @@ def test_expected_fp_matches_measured_drops():
     trace = ClientNetworkWorkload(config).generate()
     delays = out_in_delays(trace.packets, trace.protected, expiry_timer=600.0)
 
-    filter_config = BitmapFilterConfig(order=14, num_vectors=4, num_hashes=3,
-                                       rotation_interval=5.0)
+    filter_config = FilterConfig(order=14, num_vectors=4, num_hashes=3,
+                                 rotation_interval=5.0)
     predicted = expected_false_positive_rate(delays, 4, 5.0)
 
     filt = BitmapFilter(filter_config, trace.protected)

@@ -9,15 +9,16 @@ boundary ``b <= ts`` before each ``process()`` — and check that it gives
 the verdicts, stats and bitmap bytes of plain ``process()`` and of
 ``process_batch(exact=True)``.  The scripts land packets exactly on
 boundaries, and the filter may go down between two packets (and come
-back later).  A down filter's schedule is frozen, so the timer does not
-fire while it is down; ``recover()`` catches the missed boundaries up.
+back later).  The timer keeps firing while the filter is down, and a down
+filter's ``advance_to`` runs nothing: its schedule is frozen, and
+``recover()`` catches the missed boundaries up.
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig, Decision
+from repro.core.bitmap_filter import BitmapFilter, Decision, FilterConfig
 from repro.net.packet import PacketArray
 from tests.strategies import (
     PROTECTED,
@@ -32,7 +33,7 @@ INTERVAL = 5.0
 
 @st.composite
 def configs(draw):
-    return BitmapFilterConfig(
+    return FilterConfig(
         order=draw(st.integers(4, 8)),
         num_vectors=draw(st.integers(2, 4)),
         num_hashes=draw(st.integers(1, 3)),
@@ -80,8 +81,7 @@ def timer_driven(config, packets, outage):
     for i, pkt in enumerate(packets.to_packets()):
         _act(filt, packets, i, outage)
         while boundary <= pkt.ts:
-            if not filt.is_down:
-                filt.advance_to(boundary)
+            filt.advance_to(boundary)
             boundary += INTERVAL
         verdicts.append(filt.process(pkt) is Decision.PASS)
     return verdicts, filt
@@ -143,8 +143,8 @@ def test_outage_lands_between_the_same_two_packets():
     """A fault that takes the filter down mid-trace lands between the same
     two packets on every path, and it changes verdicts, so the split point
     is observable."""
-    config = BitmapFilterConfig(order=10, num_vectors=4, num_hashes=3,
-                                rotation_interval=INTERVAL)
+    config = FilterConfig(order=10, num_vectors=4, num_hashes=3,
+                          rotation_interval=INTERVAL)
     events = [(0.16, i % 3 != 1, (i // 3) % 4) for i in range(160)]
     packets = PacketArray.from_packets(script_to_packets(events))
     outage = (len(packets) // 2, len(packets))

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.bitmap_filter import BitmapFilter, FilterConfig
+from repro.core.session import FilterSession
 from repro.net.address import AddressSpace
 from repro.serve.scheduler import RotationScheduler
 from repro.telemetry.registry import MetricsRegistry
@@ -96,23 +97,49 @@ class TestRotationScheduler:
         caught_up = registry.get("repro_serve_rotations_caught_up_total")
         assert caught_up is not None and caught_up.value == 3
 
-    async def test_on_boundary_hook_runs_after_rotation(self):
-        filt = make_filter(dt=5.0)
+    async def test_due_rebuild_runs_after_rotation(self):
+        # Driving a session, the wakeup that crosses the pending rebuild's
+        # boundary rotates the old filter first, then swaps the geometry.
+        session = FilterSession(
+            FilterConfig(order=10, num_vectors=4, rotation_interval=5.0),
+            PROTECTED)
+        old = session.filter
+        assert session.apply(
+            FilterConfig(order=12, num_vectors=4, rotation_interval=5.0),
+            rebuild_at=10.0) == "deferred-rebuild"
         clock = FakeClock(0.0)
-        seen = []
-
-        async def hook(now_ft: float) -> None:
-            seen.append((now_ft, filt.stats.rotations))
-
-        sched = RotationScheduler(filt, epoch=0.0, clock=clock,
-                                  on_boundary=hook, poll_cap=POLL)
+        sched = RotationScheduler(session, epoch=0.0, clock=clock,
+                                  poll_cap=POLL)
         sched.start()
         await spin(sched, clock, 11.0)
         sched.stop()
         await sched.join()
-        assert len(seen) >= 2
-        # The hook observes the post-rotation state.
-        assert seen[0][1] >= 1
+        assert old.stats.rotations == 2           # t=5, 10 on the old filter
+        assert session.filter is not old
+        assert session.filter.config.order == 12
+        assert session.pending is None
+        # Anchored at the boundary, with the old Te as warm-up grace.
+        assert session.next_rotation == pytest.approx(15.0)
+        assert session.filter.warmup_until == pytest.approx(30.0)
+
+    async def test_failed_filter_catches_up_on_recover(self):
+        # The scheduler wakes past four boundaries while the filter is
+        # down; the frozen schedule runs them all at recover(), which then
+        # opens a Te grace window for the marks lost in the outage.
+        filt = make_filter(dt=5.0)
+        filt.fail()
+        clock = FakeClock(0.0)
+        sched = RotationScheduler(filt, epoch=0.0, clock=clock,
+                                  poll_cap=POLL)
+        sched.start()
+        await spin(sched, clock, 23.0)
+        sched.stop()
+        await sched.join()
+        assert filt.stats.rotations == 0
+        assert filt.recover(23.0) == 4
+        assert filt.stats.rotations == 4
+        assert filt.warmup_until == pytest.approx(
+            23.0 + filt.config.expiry_timer)
 
     async def test_stalled_filter_does_not_spin(self):
         filt = make_filter(dt=5.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilterConfig
+from repro.core.bitmap_filter import FilterConfig
 from repro.net.address import AddressSpace
 from repro.net.packet import Packet, PacketArray, TcpFlags
 from repro.net.protocols import IPPROTO_TCP
@@ -11,8 +11,8 @@ from repro.sim.deployment import FilterDeployment, union_address_space
 from repro.sim.topology import IspTopology
 from tests.conftest import make_reply, make_request
 
-CFG = BitmapFilterConfig(order=12, num_vectors=4, num_hashes=3,
-                         rotation_interval=5.0)
+CFG = FilterConfig(order=12, num_vectors=4, num_hashes=3,
+                   rotation_interval=5.0)
 
 
 @pytest.fixture()

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.net.packet import TcpFlags
 from repro.traffic.applications import (
     active_ftp_profile,
@@ -84,8 +84,8 @@ class TestFilterCompatibilityInWorkload:
                                 background_noise_fraction=0.0)
         trace = ClientNetworkWorkload(config, mix=mix).generate()
         filt = BitmapFilter(
-            BitmapFilterConfig(order=14, num_vectors=4, num_hashes=3,
-                               rotation_interval=5.0),
+            FilterConfig(order=14, num_vectors=4, num_hashes=3,
+                         rotation_interval=5.0),
             trace.protected,
         )
         verdicts = filt.process_batch(trace.packets, exact=True)

@@ -43,7 +43,7 @@ class TestBurstProfile:
     def test_flash_crowd_is_not_dropped_by_the_filter(self):
         """Section 2's point: a volume surge of *legitimate* traffic must
         not hurt a symmetry-based filter (unlike a volume trigger)."""
-        from repro.core.bitmap_filter import BitmapFilter, BitmapFilterConfig
+        from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 
         config = WorkloadConfig(duration=60.0, session_rate=15.0, seed=9,
                                 background_noise_fraction=0.0)
@@ -51,8 +51,8 @@ class TestBurstProfile:
             config, rate_profile=burst_profile([(20.0, 40.0, 4.0)]))
         trace = workload.generate()
         filt = BitmapFilter(
-            BitmapFilterConfig(order=14, num_vectors=4, num_hashes=3,
-                               rotation_interval=5.0),
+            FilterConfig(order=14, num_vectors=4, num_hashes=3,
+                         rotation_interval=5.0),
             trace.protected,
         )
         verdicts = filt.process_batch(trace.packets, exact=True)

@@ -26,10 +26,10 @@ Design:
   and batch paths observe identical tables.
 - **Adaptive resize.**  When occupied slots cross ``grow_at`` of capacity
   the table first purges expired entries in place; if still over, it
-  doubles (``order + 1``) and rehashes every live entry exactly.  A resize
-  can also be requested externally (the hybrid filter's measured-FPR
-  trigger).  Keys are stored whole — 20 bytes of key material per slot —
-  precisely so a resize is an exact rehash, never a lossy fingerprint move.
+  doubles (``order + 1``) and rehashes every live entry exactly; a failed
+  kick search doubles it too.  Keys are stored whole — 20 bytes of key
+  material per slot — precisely so a resize is an exact rehash, never a
+  lossy fingerprint move.
 
 Everything is plain NumPy arrays, snapshot-friendly: :meth:`export_state` /
 :meth:`restore_state` round-trip the table through the checksummed v2
@@ -51,7 +51,7 @@ _MASK64 = (1 << 64) - 1
 #: Stamp value marking a never-used slot (never "live": -inf > cutoff is False).
 _EMPTY = -np.inf
 
-_GROW_CAUSES = ("utilization", "pressure", "fpr")
+_GROW_CAUSES = ("utilization", "pressure")
 
 #: Bounds on the inserts :meth:`CuckooFlowTable.insert_batch` resolves at
 #: once (about an eighth of the bucket count: more keys per bucket make
@@ -657,16 +657,6 @@ class CuckooFlowTable:
         live = old_stamp > now - self._lifetime
         self._insert_many(old_lo[live], old_hi[live], old_stamp[live], None,
                           rehash_at=now)
-
-    def grow_for_pressure(self, now: float, cause: str = "fpr") -> bool:
-        """Externally requested doubling (e.g. measured-FPR trigger).
-
-        Returns False once the ``max_order`` ceiling is reached.
-        """
-        if self._order >= self._max_order:
-            return False
-        self._grow(now, cause=cause)
-        return True
 
     # -- snapshot / copy --------------------------------------------------------
 

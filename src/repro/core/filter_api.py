@@ -25,8 +25,8 @@ every bitmap filter stack:
 - a :class:`~repro.core.bitmap_filter.BitmapFilter` at the base, running
   in the calling process;
 - a stack of **layers** wrapped around the base filter, described by frozen
-  spec objects (e.g. :class:`~repro.core.hybrid.VerifySpec`, kind
-  ``"verify"``) carried on ``FilterConfig.layers``, passed as
+  spec objects (:class:`~repro.core.hybrid.VerifySpec`, kind ``"verify"``,
+  the one layer kind) carried on ``FilterConfig.layers``, passed as
   ``layers=("verify", ...)``, or installed ambiently with
   :func:`use_layers`;
 - an optional **snapshot** warm start (``snapshot=path``): the
@@ -44,8 +44,8 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import fields
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Protocol, Tuple,
-                    Union, runtime_checkable)
+from typing import (TYPE_CHECKING, Iterable, Protocol, Tuple, Union,
+                    runtime_checkable)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,32 +113,6 @@ class PacketFilterMixin:
 
 
 # ---------------------------------------------------------------------------
-# Layer registry: kind -> wrapper.
-# ---------------------------------------------------------------------------
-
-#: layer kind -> wrapper(inner_filter, spec, *, telemetry) and its spec class
-LAYER_BUILDERS: Dict[str, Callable] = {}
-LAYER_SPECS: Dict[str, type] = {}
-
-
-def register_layer(spec_cls: type, builder: Callable) -> None:
-    """Register a layer spec class (with a ``kind`` attribute) and its
-    wrapper builder."""
-    kind = spec_cls.kind
-    LAYER_SPECS[kind] = spec_cls
-    LAYER_BUILDERS[kind] = builder
-
-
-def _require_layer_kind(kind: str):
-    if kind not in LAYER_BUILDERS:
-        import repro.core.hybrid  # noqa: F401  (registers "verify")
-    if kind not in LAYER_BUILDERS:
-        raise ValueError(
-            f"unknown layer kind {kind!r}; registered: {sorted(LAYER_BUILDERS)}")
-    return LAYER_SPECS[kind], LAYER_BUILDERS[kind]
-
-
-# ---------------------------------------------------------------------------
 # Layer specs: normalization and the ambient stack.
 # ---------------------------------------------------------------------------
 
@@ -147,13 +121,22 @@ def _require_layer_kind(kind: str):
 LayerLike = Union[str, dict, object]
 
 
+def _verify_spec(kind: str, **params):
+    if kind != "verify":
+        raise ValueError(
+            f"unknown layer kind {kind!r}; registered: ['verify']")
+    from repro.core.hybrid import VerifySpec
+    return VerifySpec(**params)
+
+
 def normalize_layers(layers) -> Tuple[object, ...]:
     """Canonicalize any accepted layers form into a tuple of frozen specs.
 
     ``None`` → ``()``.  A bare string names a layer kind with default
     parameters (``"verify"``); a dict carries ``{"kind": ..., **fields}``
     (the JSON form used by ``describe()`` and SIGHUP reload); spec objects
-    pass through.
+    pass through.  ``"verify"`` (:class:`~repro.core.hybrid.VerifySpec`)
+    is the one layer kind.
     """
     if layers is None:
         return ()
@@ -162,16 +145,14 @@ def normalize_layers(layers) -> Tuple[object, ...]:
     out = []
     for entry in layers:
         if isinstance(entry, str):
-            spec_cls, _ = _require_layer_kind(entry)
-            out.append(spec_cls())
+            out.append(_verify_spec(entry))
         elif isinstance(entry, dict):
             fields = dict(entry)
             kind = fields.pop("kind", None)
             if kind is None:
                 raise ValueError(
                     f"layer dict needs a 'kind' discriminator, got {entry!r}")
-            spec_cls, _ = _require_layer_kind(kind)
-            out.append(spec_cls(**fields))
+            out.append(_verify_spec(kind, **fields))
         else:
             kind = getattr(entry, "kind", None)
             if kind is None:
@@ -179,11 +160,6 @@ def normalize_layers(layers) -> Tuple[object, ...]:
                     f"layer spec {entry!r} has no 'kind' attribute")
             out.append(entry)
     return tuple(out)
-
-
-def layer_dicts(layers) -> list:
-    """JSON-safe ``as_dict()`` forms of a normalized layer stack."""
-    return [spec.as_dict() for spec in normalize_layers(layers)]
 
 
 _active_layers: Tuple[object, ...] = ()
@@ -208,9 +184,9 @@ def use_layers(layers):
 
 
 def _apply_layers(filt, layers, *, telemetry=None):
+    from repro.core.hybrid import HybridVerifiedFilter
     for spec in layers:
-        _, builder = _require_layer_kind(spec.kind)
-        filt = builder(filt, spec, telemetry=telemetry)
+        filt = HybridVerifiedFilter(filt, spec, telemetry=telemetry)
     return filt
 
 

@@ -23,8 +23,9 @@ Semantics (chosen so verification is identical on every batch path):
   must not learn from traffic the bitmap never saw).
 
 The wrapper composes over a
-:class:`~repro.core.bitmap_filter.BitmapFilter` and delegates the whole
-degraded-mode/snapshot control surface, so the fault injectors drive it
+:class:`~repro.core.bitmap_filter.BitmapFilter` and delegates every
+attribute it does not define (the whole degraded-mode/snapshot control
+surface) through ``__getattr__``, so the fault injectors drive it
 unchanged.  Verification itself is deterministic and has one order on
 every path: batch inserts and lookups replay packet order exactly as the
 scalar path does, and lookups never mutate the table.  ``exact`` only
@@ -47,7 +48,7 @@ from typing import ClassVar, Optional, Tuple
 import numpy as np
 
 from repro.core.cuckoo import CuckooFlowTable, pack_flow, pack_flows_vec
-from repro.core.filter_api import Decision, PacketFilterMixin, register_layer
+from repro.core.filter_api import Decision, PacketFilterMixin
 from repro.net.address import AddressSpace
 from repro.net.packet import (
     DIRECTION_INCOMING,
@@ -67,11 +68,14 @@ class VerifySpec:
     inbound traffic must be confirmed; empty means *every* protected address.
     ``lifetime`` is how long a flow entry stays live after its last outgoing
     refresh; 0 resolves to the inner filter's expiry timer Te = k·dt, the
-    longest the bitmap itself can remember a flow.  ``resize_fpr`` arms the
-    measured-FPR resize trigger: when the denied fraction over the last
-    ``fpr_window`` verified lookups exceeds it, the table doubles once — a
-    grow-ahead heuristic for attack pressure (a flood of bitmap false admits
-    colliding with a small table).  0 disables the trigger.
+    longest the bitmap itself can remember a flow.
+
+    ``resize_fpr`` and ``fpr_window`` do nothing.  They are still accepted
+    and range-checked so that specs written with them (v2 snapshot layer
+    metadata, reload and FT_CONFIG JSON) keep loading.  The table stores
+    whole keys and below ``max_order`` never loses a live entry, so no
+    table size changes a verdict, and only utilization and kick pressure
+    grow it.
     """
 
     kind: ClassVar[str] = "verify"
@@ -104,6 +108,10 @@ class VerifySpec:
             out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
+
+#: Active operations :meth:`HybridVerifiedFilter._verify_exact` replays in
+#: one vectorized piece; the cut bounds the replay's temporaries.
+_PIECE_OPS = 16384
 
 #: Odd multiplier of the 64-bit key mix :func:`_key_groups` sorts by.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -143,7 +151,7 @@ class _HybridInstruments:
             "Outgoing flow keys inserted/refreshed into the flow table")
         self.resizes = registry.counter(
             "repro_hybrid_resizes_total",
-            "Cuckoo table doublings (utilization, kick pressure, or FPR)")
+            "Cuckoo table doublings (utilization or kick pressure)")
         self.occupancy = registry.gauge(
             "repro_hybrid_occupancy",
             "Occupied slots in the cuckoo flow table")
@@ -155,9 +163,10 @@ class _HybridInstruments:
 class HybridVerifiedFilter(PacketFilterMixin):
     """Wrap any inner ``PacketFilter`` with exact cuckoo verification.
 
-    Everything the inner filter exposes — config, degraded-mode control
-    surface, snapshot state, rotation clock — is delegated; this class adds
-    only the verification tier and its counters.
+    Every attribute this class does not define — config, degraded-mode
+    control surface, snapshot state, rotation clock — is the inner
+    filter's, through ``__getattr__``; this class adds only the
+    verification tier and its counters.
     """
 
     def __init__(
@@ -188,8 +197,6 @@ class HybridVerifiedFilter(PacketFilterMixin):
             )
         self.confirmed = 0
         self.denied = 0
-        self._window_lookups = 0
-        self._window_denied = 0
         self._flushed = {"confirmed": 0, "denied": 0, "inserts": 0, "resizes": 0}
         registry = telemetry if telemetry is not None else get_registry()
         self._tel = _HybridInstruments(registry) if registry.enabled else None
@@ -205,12 +212,6 @@ class HybridVerifiedFilter(PacketFilterMixin):
     def layers(self) -> Tuple[VerifySpec, ...]:
         """Layer specs this stack was built from (for describe()/rebuild)."""
         return (self.spec,)
-
-    @property
-    def measured_fpr(self) -> float:
-        """Denied fraction of all verified lookups so far."""
-        verified = self.confirmed + self.denied
-        return self.denied / verified if verified else 0.0
 
     @property
     def memory_bytes(self) -> int:
@@ -231,17 +232,6 @@ class HybridVerifiedFilter(PacketFilterMixin):
         return mask
 
     # -- verification core -----------------------------------------------------
-
-    def _note_lookups(self, lookups: int, denied: int, now: float) -> None:
-        if self.spec.resize_fpr <= 0.0:
-            return
-        self._window_lookups += lookups
-        self._window_denied += denied
-        if self._window_lookups >= self.spec.fpr_window:
-            if self._window_denied > self.spec.resize_fpr * self._window_lookups:
-                self.table.grow_for_pressure(now, cause="fpr")
-            self._window_lookups = 0
-            self._window_denied = 0
 
     def _flush_telemetry(self) -> None:
         tel = self._tel
@@ -283,10 +273,8 @@ class HybridVerifiedFilter(PacketFilterMixin):
             lo, hi = pack_flow(pkt.proto, pkt.dst, pkt.dport, pkt.src)
             if self.table.contains(lo, hi, pkt.ts):
                 self.confirmed += 1
-                self._note_lookups(1, 0, pkt.ts)
             else:
                 self.denied += 1
-                self._note_lookups(1, 1, pkt.ts)
                 verdict = Decision.DROP
         if self._tel is not None:
             self._flush_telemetry()
@@ -328,14 +316,12 @@ class HybridVerifiedFilter(PacketFilterMixin):
         """Replay inserts and lookups in packet order — bit-identical to the
         scalar path (lookups never mutate, so interleaving is exact).
 
-        With the FPR trigger armed, the batch is cut right after each
-        lookup that closes an ``fpr_window``, so the trigger's grow lands
-        between the same two operations, at the same timestamp, as on the
-        scalar path.  Each piece is replayed vectorized until the table
-        reaches its ``max_order`` ceiling, where an insert may overwrite a
-        *live* entry — the one mutation the vectorized replay cannot model;
-        from there on, and for unordered timestamps, the replay is the
-        literal scalar interleave."""
+        The active operations are replayed vectorized in pieces of
+        ``_PIECE_OPS``, which bounds the replay's temporaries, until the
+        table reaches its ``max_order`` ceiling, where an insert may
+        overwrite a *live* entry — the one mutation the vectorized replay
+        cannot model; from there on, and for unordered timestamps, the
+        replay is the literal scalar interleave."""
         idxs = np.nonzero(insert_mask | check_mask)[0]
         if len(idxs) == 0:
             return
@@ -344,38 +330,27 @@ class HybridVerifiedFilter(PacketFilterMixin):
             self._verify_exact_scalar(lo, hi, ts, insert_mask, mask, idxs)
             return
         is_insert = insert_mask[idxs]
-        ends = [len(idxs) - 1]
-        if self.spec.resize_fpr > 0.0:
-            lookups = self._window_lookups + np.cumsum(~is_insert)
-            closes = np.flatnonzero(~is_insert
-                                    & (lookups % self.spec.fpr_window == 0))
-            ends = closes.tolist() + ends
         a_lo, a_hi = lo[idxs], hi[idxs]
         table = self.table
-        start = 0
-        for end in ends:
-            if start > end:
-                break
+        for start in range(0, len(idxs), _PIECE_OPS):
+            piece = slice(start, start + _PIECE_OPS)
             done = 0
             if table.order < table.max_order:
-                piece = slice(start, end + 1)
-                checked, denied, done = self._verify_exact_vec(
+                done = self._verify_exact_vec(
                     a_lo[piece], a_hi[piece], a_ts[piece], is_insert[piece],
                     idxs[piece], mask)
-                self._note_lookups(checked, denied, float(a_ts[end]))
-            if start + done <= end:
+            if start + done < min(start + _PIECE_OPS, len(idxs)):
                 self._verify_exact_scalar(lo, hi, ts, insert_mask, mask,
                                           idxs[start + done:])
                 return
-            start = end + 1
 
     def _verify_exact_vec(self, lo, hi, ts, is_insert, positions,
-                          mask) -> Tuple[int, int, int]:
+                          mask) -> int:
         """Vectorized exact replay of one piece of active operations (in
-        packet order; ``positions`` index ``mask``).  Returns (lookups,
-        denied, done): ``done`` leading operations took effect — all of
-        them, unless an insert grew the table to its ``max_order`` ceiling,
-        in which case the piece stops right after that insert.
+        packet order; ``positions`` index ``mask``).  Returns how many
+        leading operations took effect — all of them, unless an insert grew
+        the table to its ``max_order`` ceiling, in which case the piece
+        stops right after that insert.
 
         Lookups never mutate the table, so every check's verdict is fully
         determined by (a) the latest *preceding* in-piece insert of the
@@ -392,9 +367,8 @@ class HybridVerifiedFilter(PacketFilterMixin):
         chk = np.flatnonzero(~is_insert)
         b1, b2 = table.bucket_pairs(lo, hi)
         if len(chk) == 0:
-            applied = table.insert_batch(lo, hi, ts, buckets=(b1, b2),
-                                         until_order=table.max_order)
-            return 0, 0, applied
+            return table.insert_batch(lo, hi, ts, buckets=(b1, b2),
+                                      until_order=table.max_order)
         live = np.zeros(len(lo), dtype=bool)
         live[chk] = table.contains_batch(lo[chk], hi[chk], ts[chk],
                                          buckets=(b1[chk], b2[chk]))
@@ -438,7 +412,7 @@ class HybridVerifiedFilter(PacketFilterMixin):
         # contains_batch counted pre-state hits; the interleaved replay's
         # hit count is the confirmed count.
         table.hits += (checked - denied) - pre_hits
-        return checked, denied, done
+        return done
 
     def _verify_exact_scalar(self, lo, hi, ts, insert_mask, mask,
                              idxs) -> None:
@@ -453,10 +427,8 @@ class HybridVerifiedFilter(PacketFilterMixin):
                 table.insert(lo_s[j], hi_s[j], ts_s[j])
             elif table.contains(lo_s[j], hi_s[j], ts_s[j]):
                 self.confirmed += 1
-                self._note_lookups(1, 0, ts_s[j])
             else:
                 self.denied += 1
-                self._note_lookups(1, 1, ts_s[j])
                 mask[idx_l[j]] = False
 
     # -- stats -----------------------------------------------------------------
@@ -477,76 +449,7 @@ class HybridVerifiedFilter(PacketFilterMixin):
         adjusted.incoming_dropped += self.denied
         return adjusted
 
-    # -- delegated control surface ---------------------------------------------
-
-    @property
-    def config(self):
-        return self._inner.config
-
-    @property
-    def protected(self):
-        return self._inner.protected
-
-    @property
-    def bitmap(self):
-        return self._inner.bitmap
-
-    @property
-    def apd(self):
-        return self._inner.apd
-
-    @property
-    def fail_policy(self):
-        return self._inner.fail_policy
-
-    @property
-    def is_down(self) -> bool:
-        return self._inner.is_down
-
-    @property
-    def warmup_until(self) -> float:
-        return self._inner.warmup_until
-
-    @property
-    def next_rotation(self) -> float:
-        return self._inner.next_rotation
-
-    @property
-    def peak_utilization(self) -> float:
-        return self._inner.peak_utilization
-
-    def advance_to(self, ts: float) -> int:
-        return self._inner.advance_to(ts)
-
-    def utilization(self) -> float:
-        return self._inner.utilization()
-
-    def fail(self) -> None:
-        self._inner.fail()
-
-    def recover(self, now: float, warmup_grace: Optional[float] = None) -> int:
-        return self._inner.recover(now, warmup_grace)
-
-    def begin_warmup(self, until: float) -> None:
-        self._inner.begin_warmup(until)
-
-    def in_warmup(self, ts: float) -> bool:
-        return self._inner.in_warmup(ts)
-
-    def stall_rotations(self) -> None:
-        self._inner.stall_rotations()
-
-    def resume_rotations(self, now: float, catch_up: bool = False) -> int:
-        return self._inner.resume_rotations(now, catch_up)
-
-    def set_fail_policy(self, policy) -> None:
-        self._inner.set_fail_policy(policy)
-
-    def flip_bits(self, fraction: float, seed: int = 0xB17F11) -> int:
-        return self._inner.flip_bits(fraction, seed)
-
-    def apply_snapshot_state(self, *args, **kwargs) -> None:
-        self._inner.apply_snapshot_state(*args, **kwargs)
+    # -- verification-aware control surface ------------------------------------
 
     def apply_table_state(self, table: CuckooFlowTable) -> None:
         """Adopt a restored cuckoo table (snapshot warm start)."""
@@ -582,9 +485,3 @@ class HybridVerifiedFilter(PacketFilterMixin):
             f"denied={self.denied}, table={self.table!r})"
         )
 
-
-def _build_verify_layer(inner, spec: VerifySpec, *, telemetry=None):
-    return HybridVerifiedFilter(inner, spec, telemetry=telemetry)
-
-
-register_layer(VerifySpec, _build_verify_layer)

@@ -14,7 +14,12 @@ Fail-policy changes apply to live bit state in place; geometry changes
   filter crossed)``, which keeps its rotation schedule origin-aligned and
   the packets in flight monotonic for it;
 - marks in the old geometry are unreadable by the new one, so the new
-  filter opens a warm-up grace window of the *old* expiry timer Te.
+  filter opens a warm-up grace window of the *old* expiry timer Te, or of
+  the new config's own ``warmup_grace`` if that is longer.
+
+``warmup_grace`` is not geometry: a change of it alone rebuilds nothing.
+It is kept in :attr:`FilterSession.config` and takes effect at the next
+rebuild (or restart).
 
 The online daemon drives a session from its ingest loop (and, under a wall
 clock, from :class:`~repro.serve.scheduler.RotationScheduler`), and
@@ -68,14 +73,16 @@ class FilterSession:
         A fail-policy change applies at once (``"immediate"``); a geometry
         change waits for a rebuild at ``rebuild_at`` — by default the
         filter's next rotation — (``"deferred-rebuild"``); ``"unchanged"``
-        means ``new_config`` matches the running config.
+        means the running filter stays as it is.  Without a geometry
+        change, ``new_config`` becomes :attr:`config` either way, so a new
+        ``warmup_grace`` applies at the next rebuild.
         """
         if all(getattr(new_config, name) == getattr(self.config, name)
                for name in GEOMETRY_FIELDS):
+            self.config = new_config
             if new_config.fail_policy is self.filter.fail_policy:
                 return "unchanged"
             self.filter.set_fail_policy(new_config.fail_policy)
-            self.config = new_config
             return "immediate"
         # Capture the boundary now: the filter's next_rotation keeps moving
         # ahead of the traffic, so reading it later would defer forever.
@@ -123,7 +130,8 @@ class FilterSession:
         self.filter = build_filter(self.pending, old.protected,
                                    start_time=boundary,
                                    telemetry=self._telemetry)
-        self.filter.begin_warmup(boundary + old.config.expiry_timer)
+        self.filter.begin_warmup(
+            boundary + max(old.config.expiry_timer, self.pending.warmup_grace))
         self.config = self.pending
         self.pending = None
         self.rebuild_at = float("inf")

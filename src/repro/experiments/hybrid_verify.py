@@ -99,7 +99,7 @@ def _scenario(label: str, order: int, scale: ExperimentScale,
     bitmap = build_filter(config, mixed.protected)
     bitmap_run = run_filter_on_trace(bitmap, mixed)
 
-    spec = VerifySpec(initial_order=10, resize_fpr=0.01)
+    spec = VerifySpec(initial_order=10)
     hybrid = build_filter(config, mixed.protected, layers=(spec,))
     hybrid_run = run_filter_on_trace(hybrid, mixed)
 

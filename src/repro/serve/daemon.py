@@ -564,7 +564,8 @@ class FilterDaemon:
         timing changes (n, k, m, Δt, seed, layers) cannot be translated
         onto live bit state, so they are deferred and rebuild the filter
         at the next rotation boundary ("deferred-rebuild"); "unchanged"
-        means the new config matches the running one.  The rebuild itself
+        means the running filter stays as it is (a new ``warmup_grace``
+        alone is kept for the next rebuild or restart).  The rebuild itself
         is the :class:`~repro.core.session.FilterSession`'s.
 
         ``rebuild_at`` overrides the boundary the rebuild waits for — a
@@ -583,9 +584,11 @@ class FilterDaemon:
 
     def describe(self) -> dict:
         """The FT_CONFIG payload: enough to build this filter's offline twin."""
+        config = self._session.config
         return {
-            "filter": dict(_geometry_dict(self._session.config),
-                           fail_policy=self.filter.fail_policy.value),
+            "filter": dict(_geometry_dict(config),
+                           fail_policy=self.filter.fail_policy.value,
+                           warmup_grace=config.warmup_grace),
             "protected": [str(net) for net in self.config.protected.networks],
             "clock": self.config.clock,
             "exact": self.config.exact,

@@ -17,7 +17,6 @@ from repro.core.bitmap_filter import BitmapFilter, FilterConfig
 from repro.core.filter_api import (
     build_filter,
     get_layers,
-    layer_dicts,
     normalize_layers,
     use_layers,
 )
@@ -41,7 +40,7 @@ class TestNormalizeLayers:
 
     def test_dict_form_round_trips(self):
         spec = VerifySpec(initial_order=6, scope=("172.16.0.0/24",))
-        rebuilt = normalize_layers(layer_dicts((spec,)))
+        rebuilt = normalize_layers([spec.as_dict()])
         assert rebuilt == (spec,)
 
     def test_spec_objects_pass_through(self):

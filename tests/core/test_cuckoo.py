@@ -137,13 +137,6 @@ class TestGrowthAndPressure:
         assert table.overwrites > 0
         assert table.occupancy <= table.capacity
 
-    def test_grow_for_pressure_external_trigger(self):
-        table = CuckooFlowTable(order=4, max_order=5)
-        assert table.grow_for_pressure(0.0) is True
-        assert table.order == 5
-        assert table.grow_for_pressure(0.0) is False   # ceiling
-        assert table.grow_causes["fpr"] == 1
-
     def test_inserts_collect_at_their_own_stamp(self):
         """Inserts reclaim relative to their own timestamp — the entry
         inserted at t=0 with lifetime 5 is fair game at t=1000."""

@@ -63,7 +63,6 @@ class TestSemantics:
         assert filt.inner.would_pass_incoming(reply)   # bitmap says PASS
         assert filt.process(reply) is Decision.DROP    # table says no
         assert (filt.confirmed, filt.denied) == (0, 1)
-        assert filt.measured_fpr == 1.0
 
     def test_bitmap_drop_never_reaches_table(self, protected, client_addr,
                                              server_addr):
@@ -184,16 +183,19 @@ class TestBatchPaths:
 
 
 class TestAdaptiveResize:
-    def test_measured_fpr_triggers_one_doubling(self, protected, client_addr,
-                                                server_addr):
+    def test_denials_never_grow_the_table(self, protected, client_addr,
+                                          server_addr):
+        """``resize_fpr``/``fpr_window`` are accepted but inert: windows
+        of nothing but denied lookups leave the table's size alone."""
         spec = VerifySpec(initial_order=4, resize_fpr=0.05, fpr_window=8)
         filt = make_hybrid(protected, spec)
-        for i in range(8):
+        for i in range(32):
             reply = force_false_admit(filt, client_addr, server_addr,
                                       sport=6000 + i)
             assert filt.process(reply) is Decision.DROP
-        assert filt.table.grow_causes["fpr"] == 1
-        assert filt.table.order == 5
+        assert filt.denied == 32
+        assert filt.table.grows == 0
+        assert filt.table.order == 4
 
     def test_lifetime_defaults_to_expiry_timer(self, protected):
         filt = make_hybrid(protected)
@@ -201,6 +203,19 @@ class TestAdaptiveResize:
         custom = make_hybrid(protected, VerifySpec(initial_order=4,
                                                    lifetime=3.5))
         assert custom.table.lifetime == 3.5
+
+
+class TestDelegation:
+    def test_resume_rotations_catches_up_like_the_bitmap(self, protected):
+        """A stalled stack resumed late runs every missed rotation, as the
+        bare bitmap does, and keeps the origin-aligned schedule."""
+        bare = BitmapFilter(CONFIG, protected)
+        stack = make_hybrid(protected)
+        for filt in (bare, stack):
+            filt.stall_rotations()
+            assert filt.advance_to(17.0) == 0
+        assert stack.resume_rotations(17.0) == bare.resume_rotations(17.0) == 3
+        assert stack.next_rotation == bare.next_rotation == 20.0
 
 
 def mix_twin(lo, hi, other_hi):
@@ -251,10 +266,11 @@ class TestKeyGrouping:
         lo = np.array([lo_b, lo_a, lo_b], dtype=np.uint64)
         hi = np.array([hi_b, hi_a, hi_b], dtype=np.uint64)
         mask = np.ones(3, dtype=bool)
-        checked, denied, done = filt._verify_exact_vec(
+        done = filt._verify_exact_vec(
             lo, hi, np.array([1.0, 1.2, 1.5]), np.array([True, True, False]),
             np.arange(3), mask)
-        assert (checked, denied, done) == (1, 0, 3)
+        assert done == 3
+        assert (filt.confirmed, filt.denied) == (1, 0)
         assert mask.all()
 
 

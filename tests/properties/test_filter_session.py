@@ -7,7 +7,8 @@ trace at once.  Both must rebuild at the same packet, so these properties
 cut a trace at arbitrary points — the rebuild boundary and rotation
 boundaries among them — feed the pieces to one session with a pending
 rebuild, and check the verdicts, stats and bitmap bytes of one uncut call.
-The config's JSON form round-trips too.
+The config's JSON form round-trips too, and a reloaded ``warmup_grace`` is
+kept for the next rebuild.
 """
 
 import json
@@ -116,3 +117,28 @@ def test_config_json_round_trip(config, fail_policy, warmup_grace):
     assert FilterConfig.from_dict(config.as_dict()) == config
     assert FilterConfig.from_dict(
         json.loads(json.dumps(config.as_dict()))) == config
+
+
+GRACE_CONFIG = FilterConfig(order=6, num_vectors=4, num_hashes=2,
+                            rotation_interval=INTERVAL)
+
+
+def test_warmup_grace_alone_is_kept_without_a_rebuild():
+    session = FilterSession(GRACE_CONFIG, PROTECTED)
+    assert session.apply(replace(GRACE_CONFIG, warmup_grace=30.0)) \
+        == "unchanged"
+    assert session.config.warmup_grace == 30.0
+    assert session.pending is None
+    assert session.filter.warmup_until == float("-inf")
+
+
+def test_rebuild_opens_the_longer_of_old_te_and_new_grace():
+    """Old Te is 20 s; a rebuild at t=5 opens 60 s of grace when the new
+    config asks for 60, and the old Te when it asks for less."""
+    for grace, until in ((60.0, 65.0), (1.0, 25.0)):
+        session = FilterSession(GRACE_CONFIG, PROTECTED)
+        new = replace(GRACE_CONFIG, order=7, warmup_grace=grace)
+        assert session.apply(new, rebuild_at=5.0) == "deferred-rebuild"
+        session.rebuild_due(5.0)
+        assert session.config == new
+        assert session.filter.warmup_until == until

@@ -359,6 +359,25 @@ class TestHotReload:
         finally:
             await stop(daemon)
 
+    async def test_warmup_grace_reload_is_described(self, tmp_path):
+        """A reload that changes only ``warmup_grace`` rebuilds nothing,
+        but the daemon keeps it and reports it for the next rebuild."""
+        reload_path = tmp_path / "filter.json"
+        reload_path.write_text(json.dumps({
+            "order": FCFG.order, "num_vectors": FCFG.num_vectors,
+            "num_hashes": FCFG.num_hashes,
+            "rotation_interval": FCFG.rotation_interval,
+            "seed": FCFG.seed, "fail_policy": "fail_closed",
+            "warmup_grace": 30.0}))
+        daemon = await booted(serve_config(reload_path=str(reload_path)))
+        try:
+            daemon.request_reload()
+            assert daemon.describe()["filter"]["warmup_grace"] == 30.0
+            assert daemon.health()["pending_rebuild"] is False
+            assert daemon.filter.warmup_until == float("-inf")
+        finally:
+            await stop(daemon)
+
     async def test_bad_reload_file_is_rejected_not_fatal(self, tmp_path):
         reload_path = tmp_path / "filter.json"
         reload_path.write_text('{"order": 12, "bogus_knob": 1}')
